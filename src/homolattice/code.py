@@ -32,7 +32,17 @@ from .errors import (
     OutOfDomainError,
     UnsupportedTopologyError,
 )
-from .f2 import BinaryMatrix, BitVector, DegeneratePairingError, in_span, kernel_basis, rank, symplectic_pairing
+from .f2 import (
+    BinaryMatrix,
+    BitVector,
+    DegeneratePairingError,
+    _echelon,
+    _reduce,
+    in_span,
+    kernel_basis,
+    rank,
+    symplectic_pairing,
+)
 from .homology import ChainComplex, _build_unchecked, boundary_maps, h1_dim
 from .surface import (
     STRICT_ALL,
@@ -181,38 +191,17 @@ def k_mixed(g: int, orientable: bool, b: int, m: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Shared F2 reduction helpers (pivot dict keyed by lowest set bit).
-
-
-def _reduce_mod(x: int, pivots: dict[int, int]) -> int:
-    while x:
-        b = (x & -x).bit_length() - 1
-        if b not in pivots:
-            return x
-        x ^= pivots[b]
-    return 0
-
-
-def _insert_pivot(x: int, pivots: dict[int, int]) -> int:
-    """Reduce ``x`` and, if non-zero, add it to the pivot structure."""
-    r = _reduce_mod(x, pivots)
-    if r:
-        pivots[(r & -r).bit_length() - 1] = r
-    return r
+# Homology functionals and representatives.
 
 
 def _homology_functionals(cx: ChainComplex) -> list[int]:
     """Bitmasks u_1..u_m over qubit positions: a basis of ker(d2^T) modulo
     the row space of d1.  Every u_i vanishes on trivial cycles, and together
     they separate all dim-H1 homology classes."""
-    pivots: dict[int, int] = {}
-    for row in cx.d1.row_bits:
-        _insert_pivot(row, pivots)
-    out: list[int] = []
-    for u in kernel_basis(cx.d2.transpose()):
-        r = _insert_pivot(u.bits, pivots)
-        if r:
-            out.append(r)
+    pivots = _echelon(cx.d1.row_bits)
+    start = len(pivots)
+    _echelon((u.bits for u in kernel_basis(cx.d2.transpose())), pivots)
+    out = list(pivots.values())[start:]
     expected = (cx.d1.cols - rank(cx.d1)) - rank(cx.d2)
     if len(out) != expected:
         raise ModelingError(
@@ -224,16 +213,10 @@ def _homology_functionals(cx: ChainComplex) -> list[int]:
 def _homology_representatives(cx: ChainComplex) -> list[BitVector]:
     """Independent non-trivial relative cycles, one per homology class:
     kernel basis of d1 reduced modulo the column span of d2."""
-    n = cx.d1.cols
-    pivots: dict[int, int] = {}
-    for row in cx.d2.transpose().row_bits:
-        _insert_pivot(row, pivots)
-    out: list[BitVector] = []
-    for z in kernel_basis(cx.d1):
-        r = _insert_pivot(z.bits, pivots)
-        if r:
-            out.append(BitVector(n, r))
-    return out
+    pivots = _echelon(cx.d2.transpose().row_bits)
+    start = len(pivots)
+    _echelon((z.bits for z in kernel_basis(cx.d1)), pivots)
+    return [BitVector(cx.d1.cols, r) for r in list(pivots.values())[start:]]
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +350,7 @@ def distance_bruteforce_oracle(s: Surface, w_max: int) -> DistanceResult | Exhau
     <= ``w_max``.  Independent of the signature-cover machinery."""
     cx = boundary_maps(s)
     n = len(cx.interior_edges)
-    d2t = cx.d2.transpose()
+    trivial = _echelon(cx.d2.transpose().row_bits)
     columns = [cx.d1.column(j).bits for j in range(n)]
     for w in range(1, min(w_max, n) + 1):
         for combo in itertools.combinations(range(n), w):
@@ -376,11 +359,10 @@ def distance_bruteforce_oracle(s: Surface, w_max: int) -> DistanceResult | Exhau
             for pos in combo:
                 syndrome ^= columns[pos]
                 bits |= 1 << pos
-            if syndrome:
-                continue
-            z = BitVector(n, bits)
-            if not in_span(d2t, z):
-                return DistanceResult(d=w, witness=z, side="primal", method="brute-force")
+            if not syndrome and _reduce(bits, trivial):
+                return DistanceResult(
+                    d=w, witness=BitVector(n, bits), side="primal", method="brute-force"
+                )
     return Exhausted(w_max=min(w_max, n))
 
 
@@ -391,13 +373,14 @@ def distance_z(s: Surface, method: str = "exact", *, budget: int | None = None) 
     (uncapped subset enumeration; only viable for small surfaces).
 
     Raises:
+        OutOfDomainError: if ``method`` is neither ``"exact"`` nor ``"brute"``.
         NoLogicalsError: if dim H1 = 0.
         BudgetError: if the cover would exceed the sheet budget
             (default 2^16; override with ``budget=`` or the
             ``HOMOLATTICE_BUDGET`` environment variable).
     """
     if method not in ("exact", "brute"):
-        raise ValueError(f"unknown distance method {method!r}")
+        raise OutOfDomainError(f"unknown distance method {method!r}")
     cx = boundary_maps(s)
     if method == "brute":
         if h1_dim(s) == 0:
@@ -703,12 +686,12 @@ def verify_logical_basis(s: Surface, basis: LogicalBasis) -> None:
     dual_pos_of_primal_pos = [0] * len(back)
     for dpos, ppos in enumerate(back):
         dual_pos_of_primal_pos[ppos] = dpos
-    d2t = cx.d2.transpose()
-    dd2t = dcx.d2.transpose()
+    trivial = _echelon(cx.d2.transpose().row_bits)
+    dual_trivial = _echelon(dcx.d2.transpose().row_bits)
     for i, (x, z) in enumerate(basis.pairs):
         if cx.d1.matvec(z):
             raise ModelingError(f"z logical {i} is not a relative cycle")
-        if in_span(d2t, z):
+        if _reduce(z.bits, trivial) == 0:
             raise ModelingError(f"z logical {i} is homologically trivial")
         x_dual_bits = 0
         rest = x.bits
@@ -719,7 +702,7 @@ def verify_logical_basis(s: Surface, basis: LogicalBasis) -> None:
         x_dual = BitVector(len(back), x_dual_bits)
         if dcx.d1.matvec(x_dual):
             raise ModelingError(f"x logical {i} is not a relative cycle of the dual")
-        if in_span(dd2t, x_dual):
+        if _reduce(x_dual_bits, dual_trivial) == 0:
             raise ModelingError(f"x logical {i} is homologically trivial on the dual")
         for j, (_, z2) in enumerate(basis.pairs):
             if x.dot(z2) != (1 if i == j else 0):

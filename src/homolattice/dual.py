@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidSurfaceError, ModelingError
+from .errors import InvalidSurfaceError, ModelingError, OutOfDomainError
 from .surface import (
     STRICT_ALL,
     Edge,
@@ -74,10 +74,13 @@ def local_dual_cycle(s: Surface, v: int) -> list[tuple[str, int]]:
     toward its lower-indexed neighbor; for a boundary vertex it runs from the
     lower-indexed boundary edge to the other (the closing edge between the two
     boundary-edge entries is implicit in the cyclic reading).
+
+    Raises:
+        OutOfDomainError: if ``v`` is not a vertex index of ``s``.
     """
     require_valid(s)
     if not 0 <= v < s.vertex_count:
-        raise ValueError(f"vertex index {v} out of range")
+        raise OutOfDomainError(f"vertex index {v} out of range")
     incidence = _edge_faces(s)
     edges_at = [ei for ei, e in enumerate(s.edges) if v in (e.u, e.v)]
     boundary_here = sorted(ei for ei in edges_at if len(incidence[ei]) == 1)

@@ -4,8 +4,13 @@ Vectors and matrix rows are arbitrary-precision Python ints, one bit per
 coordinate (bit ``i`` = coordinate ``i``).  That keeps XOR-heavy elimination
 fast without any third-party dependency, and rank/kernel results are exact.
 
-Pivoting is leftmost-lowest (scan columns left to right, take the lowest
-remaining row), so every derived basis is deterministic across runs.
+Elimination is sparse: :func:`_echelon` keeps a pivot dict that maps the
+lowest set bit of each stored row to that row, and reduces every incoming
+row against it (in the spirit of LaMacchia & Odlyzko, "Solving large sparse
+linear systems over finite fields", CRYPTO 1990).  ``rank`` and ``in_span``
+need nothing more.  ``kernel_basis`` back-substitutes the echelon to the
+reduced row echelon form; the RREF of a row space is unique, so every
+derived basis is deterministic whatever the order of the input rows.
 """
 
 from __future__ import annotations
@@ -182,63 +187,85 @@ class BinaryMatrix:
         return all(r == 0 for r in self.row_bits)
 
 
-def _rref(row_bits, cols: int) -> tuple[list[int], list[int]]:
-    """Reduced row echelon form with leftmost-lowest pivoting.
+def _reduce(x: int, piv: dict[int, int]) -> int:
+    """Residue of ``x`` modulo the pivot dict ``piv``: lowest set bits are
+    cleared while they are pivots.  Zero iff ``x`` lies in the span."""
+    while x:
+        b = (x & -x).bit_length() - 1
+        if b not in piv:
+            return x
+        x ^= piv[b]
+    return 0
 
-    Returns ``(reduced_rows, pivot_cols)`` where ``reduced_rows`` keeps only
-    non-zero rows, one per pivot column, fully reduced above and below.
+
+def _echelon(rows, piv: dict[int, int] | None = None) -> dict[int, int]:
+    """Echelon form of ``rows`` as a pivot dict ``{lowest set bit: row}``.
+
+    Each row is reduced against the dict and, if a residue is left, stored
+    under its lowest set bit.  Given ``piv``, the rows are added to it in
+    place; stored entries never change, so the dict's insertion order lists
+    the residues of the new independent rows after the old ones.
     """
-    rows = list(row_bits)
-    pivots: list[int] = []
-    reduced: list[int] = []
-    for col in range(cols):
-        mask = 1 << col
-        pivot_row = None
-        for idx, r in enumerate(rows):
-            if r & mask:
-                pivot_row = idx
-                break
-        if pivot_row is None:
-            continue
-        p = rows.pop(pivot_row)
-        for idx, r in enumerate(rows):
-            if r & mask:
-                rows[idx] = r ^ p
-        for idx, r in enumerate(reduced):
-            if r & mask:
-                reduced[idx] = r ^ p
-        reduced.append(p)
-        pivots.append(col)
-        if not rows:
-            break
-    return reduced, pivots
+    if piv is None:
+        piv = {}
+    for r in rows:
+        r = _reduce(r, piv)
+        if r:
+            piv[(r & -r).bit_length() - 1] = r
+    return piv
+
+
+def _rref(row_bits) -> tuple[list[int], list[int]]:
+    """Reduced row echelon form: the echelon, back-substituted.
+
+    Returns ``(reduced_rows, pivot_cols)`` with pivot columns ascending and
+    one non-zero row per pivot, fully reduced above and below.  Rows are
+    finished in descending pivot order, each XOR-ing in the finished rows at
+    its other pivot columns (all of which lie above its own pivot).
+    """
+    piv = _echelon(row_bits)
+    pivot_mask = sum(1 << col for col in piv)
+    done: dict[int, int] = {}
+    for col in sorted(piv, reverse=True):
+        r = piv[col]
+        hits = (r & pivot_mask) ^ (1 << col)
+        while hits:
+            low = hits & -hits
+            r ^= done[low.bit_length() - 1]
+            hits ^= low
+        done[col] = r
+    pivots = sorted(done)
+    return [done[col] for col in pivots], pivots
 
 
 def rank(m: BinaryMatrix) -> int:
-    """F2 rank via Gaussian elimination; deterministic."""
-    _, pivots = _rref(m.row_bits, m.cols)
-    return len(pivots)
+    """F2 rank: the number of pivots in the echelon form."""
+    return len(_echelon(m.row_bits))
 
 
 def kernel_basis(m: BinaryMatrix) -> list[BitVector]:
     """A basis of ``ker m`` — exactly ``cols − rank(m)`` independent vectors.
 
     Each returned vector ``v`` satisfies ``m.matvec(v) == 0``.  Basis vectors
-    correspond to the non-pivot columns of the RREF in ascending column order.
+    correspond to the non-pivot (free) columns of the RREF in ascending column
+    order: the one for free column ``f`` has a one at ``f`` and at the pivot
+    column of every RREF row with a one at ``f``.  Since the RREF is unique,
+    the basis depends only on the row space of ``m``.
     """
-    reduced, pivots = _rref(m.row_bits, m.cols)
+    reduced, pivots = _rref(m.row_bits)
+    kernel = [0] * m.cols
+    for p_col, p_row in zip(pivots, reduced):
+        rest = p_row ^ (1 << p_col)
+        while rest:
+            low = rest & -rest
+            kernel[low.bit_length() - 1] |= 1 << p_col
+            rest ^= low
     pivot_set = set(pivots)
-    basis = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        bits = 1 << free
-        # Solve for the pivot coordinates against the free column.
-        for p_col, p_row in zip(pivots, reduced):
-            if (p_row >> free) & 1:
-                bits |= 1 << p_col
-        basis.append(BitVector(m.cols, bits))
-    return basis
+    return [
+        BitVector(m.cols, kernel[free] | (1 << free))
+        for free in range(m.cols)
+        if free not in pivot_set
+    ]
 
 
 def in_span(m: BinaryMatrix, v: BitVector) -> bool:
@@ -247,12 +274,7 @@ def in_span(m: BinaryMatrix, v: BitVector) -> bool:
         raise DimensionError(
             f"in_span: vector length {v.length} != row length {m.cols}"
         )
-    reduced, pivots = _rref(m.row_bits, m.cols)
-    bits = v.bits
-    for p_col, p_row in zip(pivots, reduced):
-        if (bits >> p_col) & 1:
-            bits ^= p_row
-    return bits == 0
+    return _reduce(v.bits, _echelon(m.row_bits)) == 0
 
 
 def symplectic_pairing(

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import ModelingError
+from .errors import ModelingError, OutOfDomainError
 from .f2 import BinaryMatrix, BitVector, in_span, rank
 from .surface import (
     Surface,
@@ -172,9 +172,9 @@ def is_trivial_cycle(s: Surface, z: BitVector) -> bool:
     """True iff the relative cycle ``z`` is a sum of face boundaries.
 
     Raises:
-        ValueError: if ``z`` is not a relative cycle.
+        OutOfDomainError: if ``z`` is not a relative cycle.
     """
     cx = boundary_maps(s)
     if cx.d1.matvec(z):
-        raise ValueError("z is not a relative cycle (d1 z != 0)")
+        raise OutOfDomainError("z is not a relative cycle (d1 z != 0)")
     return in_span(cx.d2.transpose(), z)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import InvalidSurfaceError
+from .errors import InvalidSurfaceError, OutOfDomainError
 
 __all__ = [
     "Edge",
@@ -65,11 +65,16 @@ class Edge:
         return (self.u, self.v)
 
     def other(self, w: int) -> int:
+        """The endpoint opposite ``w``.
+
+        Raises:
+            OutOfDomainError: if ``w`` is not an endpoint of this edge.
+        """
         if w == self.u:
             return self.v
         if w == self.v:
             return self.u
-        raise ValueError(f"vertex {w} is not an endpoint of {self}")
+        raise OutOfDomainError(f"vertex {w} is not an endpoint of {self}")
 
 
 @dataclass(frozen=True)
@@ -262,10 +267,13 @@ def validate(s: Surface, strict: frozenset[str] | set[str] = frozenset()) -> Val
     ``strict`` may contain ``"no-distance-one"`` (a non-open edge must not have
     two open endpoints) and/or ``"girth3"`` (girth >= 3, i.e. no loops or
     parallel edges — implied by simplicity but asserted explicitly).
+
+    Raises:
+        OutOfDomainError: if ``strict`` names an unknown flag.
     """
     unknown = set(strict) - STRICT_ALL
     if unknown:
-        raise ValueError(f"unknown strict flags: {sorted(unknown)}")
+        raise OutOfDomainError(f"unknown strict flags: {sorted(unknown)}")
     out: list[Violation] = []
 
     if s.vertex_count < 0:

@@ -13,6 +13,7 @@ from homolattice import (
     Exhausted,
     InvalidSurfaceError,
     LogicalBasis,
+    HomolatticeError,
     ModelingError,
     NoLogicalsError,
     OutOfDomainError,
@@ -238,6 +239,13 @@ def test_distance_requires_logicals():
 def test_distance_rejects_unknown_method():
     with pytest.raises(ValueError):
         distance_z(dict(CORPUS)["torus3"], "annealing")
+
+
+def test_unknown_method_is_a_library_error():
+    with pytest.raises(HomolatticeError):
+        distance_z(dict(CORPUS)["torus3"], "annealing")
+    with pytest.raises(HomolatticeError):
+        distance_x(square(), "annealing")
 
 
 def test_bruteforce_oracle_exhaustion():

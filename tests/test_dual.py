@@ -9,6 +9,7 @@ import pytest
 from conftest import CORPUS, STRICT_CORPUS, STRICT_CORPUS_IDS, square
 from homolattice import (
     STRICT_ALL,
+    HomolatticeError,
     InvalidSurfaceError,
     ModelingError,
     Surface,
@@ -238,6 +239,11 @@ def test_local_dual_cycle_errors():
     )
     with pytest.raises(InvalidSurfaceError):
         local_dual_cycle(bowtie, 0)
+
+
+def test_local_dual_cycle_bad_vertex_is_a_library_error():
+    with pytest.raises(HomolatticeError):
+        local_dual_cycle(square(), -1)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ from homolattice import (
     BitVector,
     DegeneratePairingError,
     DimensionError,
+    boundary_maps,
+    gen_plain_square,
     in_span,
     kernel_basis,
     rank,
@@ -19,11 +21,13 @@ from homolattice import (
 )
 
 
-def ref_rank(rows: list[list[int]], cols: int) -> int:
-    """Gaussian elimination over F2 on plain int lists."""
+def ref_rref(rows: list[list[int]], cols: int) -> tuple[list[list[int]], list[int]]:
+    """Gauss-Jordan elimination over F2 on plain int lists: the non-zero
+    RREF rows and their pivot columns, both in ascending pivot order."""
     mat = [row[:] for row in rows]
-    r = 0
+    pivots: list[int] = []
     for c in range(cols):
+        r = len(pivots)
         pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if pivot is None:
             continue
@@ -31,8 +35,39 @@ def ref_rank(rows: list[list[int]], cols: int) -> int:
         for i in range(len(mat)):
             if i != r and mat[i][c]:
                 mat[i] = [a ^ b for a, b in zip(mat[i], mat[r])]
-        r += 1
-    return r
+        pivots.append(c)
+    return mat[: len(pivots)], pivots
+
+
+def ref_rank(rows: list[list[int]], cols: int) -> int:
+    return len(ref_rref(rows, cols)[1])
+
+
+def ref_kernel_basis(
+    reduced: list[list[int]], pivots: list[int], cols: int
+) -> list[list[int]]:
+    """Kernel basis from a reference RREF: one vector per free column f,
+    ascending, with a one at f and at the pivot column of every RREF row
+    with a one at f."""
+    basis = []
+    for f in range(cols):
+        if f in pivots:
+            continue
+        v = [0] * cols
+        v[f] = 1
+        for row, p in zip(reduced, pivots):
+            if row[f]:
+                v[p] = 1
+        basis.append(v)
+    return basis
+
+
+def ref_in_span(reduced: list[list[int]], pivots: list[int], v: list[int]) -> bool:
+    """Membership test against a reference RREF ``(reduced, pivots)``."""
+    for row, p in zip(reduced, pivots):
+        if v[p]:
+            v = [a ^ b for a, b in zip(v, row)]
+    return not any(v)
 
 
 def random_matrix(rng: random.Random, rows: int, cols: int) -> BinaryMatrix:
@@ -43,6 +78,43 @@ def random_matrix(rng: random.Random, rows: int, cols: int) -> BinaryMatrix:
 
 def as_lists(m: BinaryMatrix) -> list[list[int]]:
     return [[m.get(i, j) for j in range(m.cols)] for i in range(m.rows)]
+
+
+def incidence_like(rng: random.Random, rows: int, cols: int) -> BinaryMatrix:
+    """At most two ones per column, like the vertex-edge map d1."""
+    out = [0] * rows
+    for j in range(cols):
+        for i in rng.sample(range(rows), min(rows, rng.randint(0, 2))):
+            out[i] |= 1 << j
+    return BinaryMatrix(rows, cols, tuple(out))
+
+
+def rank_deficient(rng: random.Random, rows: int, cols: int) -> BinaryMatrix:
+    """Rows drawn from the span of a few generators, with repeats."""
+    gens = [rng.getrandbits(cols) for _ in range(rng.randint(1, 3))]
+    data = []
+    for _ in range(rows):
+        r = 0
+        for g in gens:
+            if rng.random() < 0.5:
+                r ^= g
+        data.append(r)
+    data += data[: rng.randint(0, rows)]
+    return BinaryMatrix(len(data), cols, tuple(data))
+
+
+def assert_matches_reference(m: BinaryMatrix, rng: random.Random) -> None:
+    """kernel_basis bit for bit, rank and in_span against the list references."""
+    lists = as_lists(m)
+    reduced, pivots = ref_rref(lists, m.cols)
+    assert rank(m) == len(pivots)
+    want = ref_kernel_basis(reduced, pivots, m.cols)
+    assert [[v.get(j) for j in range(m.cols)] for v in kernel_basis(m)] == want
+    members = [0] + [r ^ s for r, s in zip(m.row_bits, m.row_bits[1:] + (0,))]
+    queries = members + [rng.getrandbits(m.cols) for _ in range(8)]
+    for bits in queries:
+        v = BitVector(m.cols, bits)
+        assert in_span(m, v) == ref_in_span(reduced, pivots, [v.get(j) for j in range(m.cols)])
 
 
 def test_bitvector_basics():
@@ -116,6 +188,29 @@ def test_kernel_basis_properties():
                 if not m.matvec(BitVector(m.cols, bits))
             )
             assert count == 1 << len(basis)
+
+
+def random_reference_cases():
+    rng = random.Random(29)
+    for _ in range(40):
+        yield random_matrix(rng, rng.randint(1, 10), rng.randint(1, 12))
+        yield incidence_like(rng, rng.randint(1, 10), rng.randint(1, 14))
+        yield rank_deficient(rng, rng.randint(1, 8), rng.randint(1, 12))
+    for rows, cols in [(0, 0), (0, 5), (5, 0), (3, 3)]:
+        yield BinaryMatrix.zeros(rows, cols)
+
+
+def test_f2_against_reference_rref():
+    rng = random.Random(31)
+    for m in random_reference_cases():
+        assert_matches_reference(m, rng)
+
+
+def test_f2_against_reference_rref_on_boundary_maps():
+    cx = boundary_maps(gen_plain_square(8, 8))
+    rng = random.Random(37)
+    for m in (cx.d1, cx.d2, cx.d2.transpose()):
+        assert_matches_reference(m, rng)
 
 
 def test_in_span_matches_rank_growth():

@@ -8,6 +8,7 @@ from conftest import CORPUS, CORPUS_IDS, square, surface_code_patch
 from homolattice import (
     BitVector,
     DimensionError,
+    HomolatticeError,
     InvalidSurfaceError,
     Surface,
     boundary_maps,
@@ -191,6 +192,14 @@ def test_non_cycle_rejected():
     assert not is_relative_cycle(s, z)
     with pytest.raises(ValueError):
         is_trivial_cycle(s, z)
+
+
+def test_non_cycle_is_a_library_error():
+    s = dict(CORPUS)["plain2x3"]
+    cx = boundary_maps(s)
+    ei = next(ei for ei in cx.interior_edges if 5 in s.edges[ei].endpoints())
+    with pytest.raises(HomolatticeError):
+        is_trivial_cycle(s, cx.edge_chain([ei]))
 
 
 def test_wrong_length_rejected():

@@ -24,6 +24,7 @@ from homolattice import (
     NO_DISTANCE_ONE,
     STRICT_ALL,
     Edge,
+    HomolatticeError,
     InvalidSurfaceError,
     Surface,
     canonicalize,
@@ -58,6 +59,11 @@ def test_edge_endpoints_and_other():
     assert not e.open
     with pytest.raises(ValueError):
         e.other(5)
+
+
+def test_edge_other_non_endpoint_is_a_library_error():
+    with pytest.raises(HomolatticeError):
+        Edge(3, 7).other(5)
 
 
 def test_surface_build_normalizes_loose_data():
@@ -218,6 +224,11 @@ def test_unknown_strict_flag_rejected():
     with pytest.raises(ValueError):
         validate(square(), {"bogus-flag"})
     assert STRICT_ALL == frozenset({NO_DISTANCE_ONE, GIRTH3})
+
+
+def test_unknown_strict_flag_is_a_library_error():
+    with pytest.raises(HomolatticeError):
+        validate(square(), {"bogus-flag"})
 
 
 def test_require_valid():
