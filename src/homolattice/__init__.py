@@ -28,8 +28,6 @@ from .arch import (
     reports_to_csv,
 )
 from .code import (
-    BUDGET_ENV_VAR,
-    DEFAULT_COVER_BUDGET,
     CssCode,
     DistanceResult,
     Exhausted,
@@ -47,7 +45,6 @@ from .code import (
 )
 from .dual import DualCorrespondence, check_correspondences, dualize, local_dual_cycle
 from .errors import (
-    BudgetError,
     DegeneratePairingError,
     DimensionError,
     HomolatticeError,
@@ -142,8 +139,6 @@ __all__ = [
     "LogicalBasis",
     "DistanceResult",
     "Exhausted",
-    "DEFAULT_COVER_BUDGET",
-    "BUDGET_ENV_VAR",
     "build_css",
     "logical_count",
     "k_uniform",
@@ -180,7 +175,6 @@ __all__ = [
     "DegeneratePairingError",
     "ModelingError",
     "NoLogicalsError",
-    "BudgetError",
     "UnsupportedTopologyError",
     "OutOfDomainError",
     "OverheadError",

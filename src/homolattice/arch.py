@@ -534,7 +534,6 @@ def evaluate(
     compute_distance: bool = False,
     *,
     method: str = "exact",
-    budget: int | None = None,
 ) -> ArchReport:
     """Generate, measure, and compare one architecture against its formulas.
 
@@ -553,8 +552,8 @@ def evaluate(
     d_z = d_x = d = None
     ratio = None
     if compute_distance and k > 0:
-        d_z = distance_z(s, method, budget=budget).d
-        d_x = distance_x(s, method, budget=budget).d
+        d_z = distance_z(s, method).d
+        d_x = distance_x(s, method).d
         d = min(d_z, d_x)
         ratio = overhead(n, k, d)
         if r.family == "mixed-diamond-hole" and d < 2 * r.t:
@@ -584,16 +583,13 @@ def compare_table(
     compute_distance: bool = False,
     *,
     method: str = "exact",
-    budget: int | None = None,
 ) -> list[ArchReport]:
     """Evaluate each spec; per-spec failures become error rows, preserving
     batch order."""
     out = []
     for spec in specs:
         try:
-            out.append(
-                evaluate(spec, compute_distance, method=method, budget=budget)
-            )
+            out.append(evaluate(spec, compute_distance, method=method))
         except HomolatticeError as exc:
             out.append(ArchReport(spec=spec, error=str(exc)))
     return out

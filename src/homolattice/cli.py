@@ -79,8 +79,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     print(f"n={n}")
     print(f"k={k}")
     if args.distance != "none":
-        d_z = distance_z(s, args.distance, budget=args.budget)
-        d_x = distance_x(s, args.distance, budget=args.budget)
+        d_z = distance_z(s, args.distance)
+        d_x = distance_x(s, args.distance)
         d = min(d_z.d, d_x.d)
         result.update({"d_z": d_z.d, "d_x": d_x.d, "d": d, "method": d_z.method})
         print(f"d_z={d_z.d}")
@@ -145,7 +145,7 @@ def _cmd_distance(args: argparse.Namespace) -> int:
     s = load_surface(args.input)
     compute = distance_z if args.side == "z" else distance_x
     if args.method == "exact" or args.wmax is None:
-        res = compute(s, args.method, budget=args.budget)
+        res = compute(s, args.method)
         edges = _witness_edges(s, res.witness)
     else:
         if args.side == "z":
@@ -181,7 +181,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         if "family" not in entry_obj:
             raise HomolatticeError("every spec needs a 'family'")
         specs.append(ArchSpec(**entry_obj))
-    rows = compare_table(specs, compute_distance=args.distances, budget=args.budget)
+    rows = compare_table(specs, compute_distance=args.distances)
     text = reports_to_csv(rows)
     if args.output is not None:
         _write_text(args.output, text)
@@ -223,7 +223,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="print n, k, and optionally distances")
     p.add_argument("input")
     p.add_argument("--distance", choices=("exact", "brute", "none"), default="none")
-    p.add_argument("--budget", type=int, help="exact-search sheet budget override")
     p.add_argument("-o", "--report", help="also write a JSON report")
     p.set_defaults(handler=_cmd_analyze)
 
@@ -244,14 +243,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--side", choices=("z", "x"), required=True)
     p.add_argument("--method", choices=("exact", "brute"), default="exact")
     p.add_argument("--wmax", type=int, help="weight cap for --method brute")
-    p.add_argument("--budget", type=int, help="exact-search sheet budget override")
     p.set_defaults(handler=_cmd_distance)
 
     p = sub.add_parser("compare", help="evaluate a batch of family specs to CSV")
     p.add_argument("--spec-file", required=True)
     p.add_argument("-o", "--output", help="CSV path (default: stdout)")
     p.add_argument("--distances", action="store_true")
-    p.add_argument("--budget", type=int, help="exact-search sheet budget override")
     p.set_defaults(handler=_cmd_compare)
 
     p = sub.add_parser("export-svg", help="render a coords-bearing surface")

@@ -7,26 +7,25 @@ the statement d1 @ d2 = 0.  The logical count is dim H1 of the relative
 complex; Z distances are minimum weights of non-trivial relative cycles of
 the surface and X distances the same on its dual.
 
-The exact distance method works in a signature cover: pick functionals
-u_1..u_m (a basis of ker d2^T modulo the row space of d1, m = dim H1) that
-vanish on trivial cycles, give every qubit edge the signature (u_i at e)_i
-in F2^m, and run breadth-first searches over (vertex, accumulated signature)
-states.  Open vertices are merged into one virtual terminal, so shortest
-open-to-open paths and shortest closed walks with non-zero signature are both
-found; the minimum over the two is the distance, and the accumulated edge set
-is a certified witness.
+The exact distance method picks functionals u_1..u_m (a basis of ker d2^T
+modulo the row space of d1, m = dim H1) that vanish on trivial cycles and
+gives every qubit edge the signature (u_i at e)_i in F2^m; a relative cycle
+is non-trivial exactly when its summed signature is non-zero.  Open vertices
+are merged into one terminal, so open-to-open paths become closed walks.  A
+breadth-first tree from each root, carrying path signatures, turns every
+non-tree edge into a fundamental cycle; the lightest one with non-zero
+signature is the distance, and its edge set is a certified witness.  The
+search is polynomial in the surface size, whatever m is.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from collections import deque
 from dataclasses import dataclass
 
 from .dual import DualCorrespondence, dualize
 from .errors import (
-    BudgetError,
     ModelingError,
     NoLogicalsError,
     OutOfDomainError,
@@ -57,8 +56,6 @@ __all__ = [
     "LogicalBasis",
     "DistanceResult",
     "Exhausted",
-    "DEFAULT_COVER_BUDGET",
-    "BUDGET_ENV_VAR",
     "build_css",
     "logical_count",
     "k_uniform",
@@ -70,10 +67,6 @@ __all__ = [
     "logical_basis_boundary_strategy",
     "verify_logical_basis",
 ]
-
-DEFAULT_COVER_BUDGET = 1 << 16
-BUDGET_ENV_VAR = "HOMOLATTICE_BUDGET"
-
 
 @dataclass(frozen=True)
 class CssCode:
@@ -223,18 +216,6 @@ def _homology_representatives(cx: ChainComplex) -> list[BitVector]:
 # Distance.
 
 
-def _resolve_budget(budget: int | None) -> int:
-    if budget is not None:
-        return budget
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from exc
-    return DEFAULT_COVER_BUDGET
-
-
 def _certify_witness(cx: ChainComplex, witness: BitVector, d: int, side: str) -> None:
     if witness.weight != d:
         raise ModelingError(
@@ -246,29 +227,37 @@ def _certify_witness(cx: ChainComplex, witness: BitVector, d: int, side: str) ->
         raise ModelingError(f"{side} witness is homologically trivial")
 
 
-def _exact_min_cycle(s: Surface, cx: ChainComplex, budget: int | None) -> tuple[int, BitVector]:
+def _exact_min_cycle(s: Surface, cx: ChainComplex) -> tuple[int, BitVector]:
     """Minimum weight and witness over non-trivial relative cycles of ``s``.
 
-    Searches the signature cover: states (node, sig) where node ranges over
-    the non-open vertices plus one virtual terminal standing for every open
-    vertex, and sig accumulates functional values along walked edges.  A walk
-    returning to its base node with non-zero signature projects to a
-    non-trivial relative cycle of no greater weight; conversely every minimum
-    witness contains a component traversable as such a walk.  The terminal
-    search runs first to seed the bound, then per-vertex searches run with a
-    strictly improving depth cutoff.
+    The search graph has one node per non-open vertex plus one terminal
+    standing for every open vertex; each qubit edge keeps its signature, so a
+    relative cycle of ``s`` is an even-degree edge set of this graph and it is
+    non-trivial exactly when its signature is non-zero.  Roots are visited
+    terminal first, then in node order.  From each root a BFS records depth,
+    parent edge and path signature; every non-tree edge (a, b) it meets whose
+    fundamental cycle ``psig[a] ^ sig ^ psig[b]`` is non-zero is a candidate of
+    weight ``dist[a] + dist[b] + 1`` (edges with both ends open are loops at
+    the terminal).  A root stops expanding once ``2 * depth + 1`` reaches the
+    best weight, and is then removed from the graph.  The cost is polynomial
+    and does not depend on dim H1.
+
+    Why the smallest candidate is the distance: a minimum non-trivial
+    relative cycle C is a simple cycle of the merged graph (an even-degree
+    edge set splits into simple cycles whose signatures add up).  Let v be the
+    first root in the visiting order that lies on C; when v runs, no earlier
+    root is on C, so all of C is still in the graph.  C is the XOR of the
+    fundamental cycles (for the BFS tree T_v) of its non-tree edges, and the
+    signature is linear, so one of them has a non-zero signature.  Every edge
+    of C has a fundamental walk of length <= |C|, so some candidate weighs at
+    most |C|.  Conversely every candidate's XOR set is a non-trivial relative
+    cycle, so its weight, at most the candidate's, is at least |C|.  Hence
+    the smallest candidate weighs exactly |C|, and its XOR set (the two tree
+    paths plus the edge) is a witness of that weight.
     """
     funcs = _homology_functionals(cx)
-    m = len(funcs)
-    if m == 0:
+    if not funcs:
         raise NoLogicalsError("surface encodes no logical qubits (dim H1 = 0)")
-    limit = _resolve_budget(budget)
-    if 1 << m > limit:
-        raise BudgetError(
-            f"signature cover needs 2^{m} sheets, over the budget of {limit}; "
-            f"use the brute-force method, pass a larger budget, or set "
-            f"{BUDGET_ENV_VAR}"
-        )
 
     n = len(cx.interior_edges)
     sigs = [0] * n
@@ -281,73 +270,61 @@ def _exact_min_cycle(s: Surface, cx: ChainComplex, budget: int | None) -> tuple[
 
     node_of_vertex: dict[int, int] = dict(cx.vertex_row)
     terminal = len(cx.interior_vertices)
-    node_count = terminal + 1
-    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(node_count)]
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(terminal + 1)]
     for pos, ei in enumerate(cx.interior_edges):
         e = s.edges[ei]
         a = node_of_vertex.get(e.u, terminal)
         b = node_of_vertex.get(e.v, terminal)
-        adj[a].append((b, pos, sigs[pos]))
+        adj[a].append((b, pos))
         if b != a:
-            adj[b].append((a, pos, sigs[pos]))
+            adj[b].append((a, pos))
 
-    sheets = 1 << m
-    has_terminal = bool(adj[terminal])
+    best = n + 1
+    best_bits = 0
+    removed = [False] * (terminal + 1)
+    for root in (terminal, *range(terminal)):
+        # node -> (depth, path signature, parent node, parent edge position)
+        tree: dict[int, tuple[int, int, int, int]] = {root: (0, 0, -1, -1)}
 
-    def bfs(base: int, cutoff: int | None) -> tuple[int, int] | None:
-        """Shortest walk base -> base with non-zero signature; returns
-        (depth, witness bitmask) or None within the cutoff."""
-        start = base * sheets
-        parents: dict[int, tuple[int, int]] = {start: (-1, -1)}
-        frontier = [start]
+        def path_bits(node: int) -> int:
+            bits = 0
+            while node != root:
+                _, _, node, pos = tree[node]
+                bits ^= 1 << pos
+            return bits
+
+        level = [root]
         depth = 0
-        while frontier:
-            if cutoff is not None and depth >= cutoff:
-                return None
-            depth += 1
+        while level and 2 * depth + 1 < best:
             nxt: list[int] = []
-            for state in frontier:
-                node, sig = divmod(state, sheets)
-                for nbr, pos, sg in adj[node]:
-                    new_sig = sig ^ sg
-                    new_state = nbr * sheets + new_sig
-                    if new_state in parents:
+            for a in level:
+                _, psig_a, _, tree_pos = tree[a]
+                for b, pos in adj[a]:
+                    if pos == tree_pos or removed[b]:
                         continue
-                    parents[new_state] = (state, pos)
-                    if nbr == base and new_sig:
-                        bits = 0
-                        cur = new_state
-                        while cur != start:
-                            prev, epos = parents[cur]
-                            bits ^= 1 << epos
-                            cur = prev
-                        return depth, bits
-                    nxt.append(new_state)
-            frontier = nxt
-        return None
-
-    best: tuple[int, int] | None = None
-    if has_terminal:
-        best = bfs(terminal, None)
-    for node in range(terminal):
-        cutoff = None if best is None else best[0] - 1
-        if cutoff is not None and cutoff <= 0:
-            break
-        found = bfs(node, cutoff)
-        if found is not None and (best is None or found[0] < best[0]):
-            best = found
-    if best is None:
+                    if b not in tree:
+                        tree[b] = (depth + 1, psig_a ^ sigs[pos], a, pos)
+                        nxt.append(b)
+                        continue
+                    depth_b, psig_b, _, tree_pos_b = tree[b]
+                    weight = depth + depth_b + 1
+                    if tree_pos_b != pos and weight < best and psig_a ^ sigs[pos] ^ psig_b:
+                        best = weight
+                        best_bits = path_bits(a) ^ path_bits(b) ^ (1 << pos)
+            level = nxt
+            depth += 1
+        removed[root] = True
+    if not best_bits:
         raise ModelingError(
             "signature search found no non-trivial cycle despite dim H1 >= 1"
         )
-    d, bits = best
-    return d, BitVector(n, bits)
+    return best, BitVector(n, best_bits)
 
 
 def distance_bruteforce_oracle(s: Surface, w_max: int) -> DistanceResult | Exhausted:
     """Enumerate edge subsets by increasing weight; return the first
     non-trivial relative cycle, or :class:`Exhausted` if none has weight
-    <= ``w_max``.  Independent of the signature-cover machinery."""
+    <= ``w_max``.  Independent of the exact search's machinery."""
     cx = boundary_maps(s)
     n = len(cx.interior_edges)
     trivial = _echelon(cx.d2.transpose().row_bits)
@@ -366,18 +343,17 @@ def distance_bruteforce_oracle(s: Surface, w_max: int) -> DistanceResult | Exhau
     return Exhausted(w_max=min(w_max, n))
 
 
-def distance_z(s: Surface, method: str = "exact", *, budget: int | None = None) -> DistanceResult:
+def distance_z(s: Surface, method: str = "exact") -> DistanceResult:
     """Minimum weight of a non-trivial relative cycle of ``s`` (Z distance).
 
-    ``method`` is ``"exact"`` (signature-cover search) or ``"brute"``
-    (uncapped subset enumeration; only viable for small surfaces).
+    ``method`` is ``"exact"`` (fundamental-cycle search over breadth-first
+    trees, polynomial for any number of logical qubits) or ``"brute"``
+    (uncapped subset enumeration; only viable for small surfaces).  Either
+    way the witness is certified before it is returned.
 
     Raises:
         OutOfDomainError: if ``method`` is neither ``"exact"`` nor ``"brute"``.
         NoLogicalsError: if dim H1 = 0.
-        BudgetError: if the cover would exceed the sheet budget
-            (default 2^16; override with ``budget=`` or the
-            ``HOMOLATTICE_BUDGET`` environment variable).
     """
     if method not in ("exact", "brute"):
         raise OutOfDomainError(f"unknown distance method {method!r}")
@@ -390,7 +366,7 @@ def distance_z(s: Surface, method: str = "exact", *, budget: int | None = None) 
             raise ModelingError("uncapped brute force exhausted with dim H1 >= 1")
         _certify_witness(cx, res.witness, res.d, "primal")
         return res
-    d, witness = _exact_min_cycle(s, cx, budget)
+    d, witness = _exact_min_cycle(s, cx)
     _certify_witness(cx, witness, d, "primal")
     return DistanceResult(d=d, witness=witness, side="primal", method="exact-search")
 
@@ -411,17 +387,18 @@ def _dual_machinery(
     return dual, corr, dcx, primal_pos_of_dual_pos
 
 
-def _map_to_primal(bits_dual: int, primal_pos_of_dual_pos: list[int], n: int) -> BitVector:
+def _permute_bits(bits_in: int, new_pos_of_old_pos: list[int], n: int) -> BitVector:
+    """Move bit ``i`` of ``bits_in`` to position ``new_pos_of_old_pos[i]``."""
     bits = 0
-    rest = bits_dual
+    rest = bits_in
     while rest:
         low = rest & -rest
-        bits |= 1 << primal_pos_of_dual_pos[low.bit_length() - 1]
+        bits |= 1 << new_pos_of_old_pos[low.bit_length() - 1]
         rest ^= low
     return BitVector(n, bits)
 
 
-def distance_x(s: Surface, method: str = "exact", *, budget: int | None = None) -> DistanceResult:
+def distance_x(s: Surface, method: str = "exact") -> DistanceResult:
     """Minimum weight of a non-trivial relative cycle of the dual of ``s``
     (X distance), expressed in the qubit coordinates of ``s``.
 
@@ -429,8 +406,8 @@ def distance_x(s: Surface, method: str = "exact", *, budget: int | None = None) 
     :func:`distance_z`.
     """
     dual, _, dcx, back = _dual_machinery(s)
-    res = distance_z(dual, method, budget=budget)
-    witness = _map_to_primal(res.witness.bits, back, len(dcx.interior_edges))
+    res = distance_z(dual, method)
+    witness = _permute_bits(res.witness.bits, back, len(dcx.interior_edges))
     return DistanceResult(d=res.d, witness=witness, side="dual", method=res.method)
 
 
@@ -454,7 +431,7 @@ def logical_basis_generic(s: Surface) -> LogicalBasis:
     _, _, dcx, back = _dual_machinery(s)
     z_ops = _homology_representatives(cx)
     x_ops = [
-        _map_to_primal(x.bits, back, len(cx.interior_edges))
+        _permute_bits(x.bits, back, len(cx.interior_edges))
         for x in _homology_representatives(dcx)
     ]
     if len(z_ops) != k or len(x_ops) != k:
@@ -627,7 +604,7 @@ def logical_basis_boundary_strategy(s: Surface) -> LogicalBasis:
             dual_bits = 0
             for dei in dual_path:
                 dual_bits ^= 1 << dcx.edge_index[dei]
-            x_ops.append(_map_to_primal(dual_bits, back, n))
+            x_ops.append(_permute_bits(dual_bits, back, n))
 
     if bo >= 1:
         adj: list[list[tuple[int, int]]] = [[] for _ in range(s.vertex_count)]
@@ -693,16 +670,10 @@ def verify_logical_basis(s: Surface, basis: LogicalBasis) -> None:
             raise ModelingError(f"z logical {i} is not a relative cycle")
         if _reduce(z.bits, trivial) == 0:
             raise ModelingError(f"z logical {i} is homologically trivial")
-        x_dual_bits = 0
-        rest = x.bits
-        while rest:
-            low = rest & -rest
-            x_dual_bits |= 1 << dual_pos_of_primal_pos[low.bit_length() - 1]
-            rest ^= low
-        x_dual = BitVector(len(back), x_dual_bits)
+        x_dual = _permute_bits(x.bits, dual_pos_of_primal_pos, len(back))
         if dcx.d1.matvec(x_dual):
             raise ModelingError(f"x logical {i} is not a relative cycle of the dual")
-        if _reduce(x_dual_bits, dual_trivial) == 0:
+        if _reduce(x_dual.bits, dual_trivial) == 0:
             raise ModelingError(f"x logical {i} is homologically trivial on the dual")
         for j, (_, z2) in enumerate(basis.pairs):
             if x.dot(z2) != (1 if i == j else 0):

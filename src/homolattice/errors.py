@@ -46,14 +46,6 @@ class NoLogicalsError(HomolatticeError):
     """Distance was requested for a surface that encodes no logical qubits."""
 
 
-class BudgetError(HomolatticeError):
-    """The exact-search sheet budget 2^m was exceeded.
-
-    Use the brute-force method, or raise the budget explicitly (``budget=``
-    argument or the ``HOMOLATTICE_BUDGET`` environment variable).
-    """
-
-
 class UnsupportedTopologyError(HomolatticeError):
     """The boundary-strategy basis only covers genus-0 surfaces with holes."""
 

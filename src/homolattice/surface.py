@@ -13,14 +13,15 @@ model, so :func:`validate` is strict about the cellulation axioms:
   F_v is a single self-avoiding path (boundary vertex) or cycle (interior).
 
 Two opt-in strict flags tighten this: ``no-distance-one`` forbids a non-open
-edge whose endpoints are both open, and ``girth3`` (re)asserts girth >= 3.
-Both are required by :func:`homolattice.dual.dualize` and are on for every
-built-in generator.
+edge whose endpoints are both open, and ``girth3`` asserts girth >= 3, which
+the base tier already implies.  Both are required by
+:func:`homolattice.dual.dualize` and are on for every built-in generator.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import InvalidSurfaceError, OutOfDomainError
@@ -266,7 +267,8 @@ def validate(s: Surface, strict: frozenset[str] | set[str] = frozenset()) -> Val
 
     ``strict`` may contain ``"no-distance-one"`` (a non-open edge must not have
     two open endpoints) and/or ``"girth3"`` (girth >= 3, i.e. no loops or
-    parallel edges — implied by simplicity but asserted explicitly).
+    parallel edges).  The base tier already reports every loop and duplicate
+    edge, and stops there, so ``girth3`` never adds a violation of its own.
 
     Raises:
         OutOfDomainError: if ``strict`` names an unknown flag.
@@ -425,20 +427,6 @@ def validate(s: Surface, strict: frozenset[str] | set[str] = frozenset()) -> Val
                         f"non-open edge {ei} has two open endpoints",
                     )
                 )
-    if GIRTH3 in strict:
-        # Simplicity already forbids loops (length-1) and parallel edges
-        # (length-2 cycles), so a simple graph has girth >= 3; re-assert it.
-        for ei, e in enumerate(s.edges):
-            if e.u == e.v:
-                out.append(Violation("girth", (ei,), f"loop edge {ei} gives girth 1"))
-        pairs: dict[tuple[int, int], int] = {}
-        for ei, e in enumerate(s.edges):
-            key = (min(e.u, e.v), max(e.u, e.v))
-            if key in pairs:
-                out.append(
-                    Violation("girth", (pairs[key], ei), "parallel edges give girth 2")
-                )
-            pairs[key] = ei
 
     return ValidationReport(tuple(out))
 
@@ -587,14 +575,55 @@ def to_json_dict(s: Surface) -> dict:
     return out
 
 
+_JSON_TYPE_NAMES = {int: "integer", bool: "boolean", list: "array"}
+
+
+def _typed(value, kind: type, where: str):
+    """``value`` if its type is exactly ``kind``: a bool is not an integer
+    here, and 4.7 is not silently truncated to 4."""
+    if type(value) is not kind:
+        raise TypeError(f"{where} must be a JSON {_JSON_TYPE_NAMES[kind]}, got {value!r}")
+    return value
+
+
+def _point(c, where: str) -> tuple[float, float]:
+    if type(c) is not list or len(c) != 2 or not all(
+        type(x) in (int, float) and math.isfinite(x) for x in c
+    ):
+        raise ValueError(f"{where} must be a pair of finite numbers, got {c!r}")
+    return (c[0], c[1])
+
+
 def from_json_dict(d: dict) -> Surface:
+    """Read a surface from its JSON object, type-exactly.
+
+    ``vertex_count``, edge endpoints and face entries must be JSON integers
+    (not booleans or floats), ``open`` a JSON boolean, the cell lists JSON
+    arrays, and each ``coords`` entry a pair of finite numbers.
+
+    Raises:
+        InvalidSurfaceError: on a missing key or a value of the wrong type.
+    """
     try:
-        vertex_count = int(d["vertex_count"])
-        edges = [Edge(int(e["u"]), int(e["v"]), bool(e["open"])) for e in d["edges"]]
-        faces = [tuple(int(i) for i in f) for f in d["faces"]]
+        vertex_count = _typed(d["vertex_count"], int, "vertex_count")
+        edges = [
+            Edge(
+                _typed(e["u"], int, f"edges[{i}].u"),
+                _typed(e["v"], int, f"edges[{i}].v"),
+                _typed(e["open"], bool, f"edges[{i}].open"),
+            )
+            for i, e in enumerate(_typed(d["edges"], list, "edges"))
+        ]
+        faces = [
+            tuple(_typed(x, int, f"faces[{i}]") for x in _typed(f, list, f"faces[{i}]"))
+            for i, f in enumerate(_typed(d["faces"], list, "faces"))
+        ]
         coords = None
-        if "coords" in d and d["coords"] is not None:
-            coords = tuple((c[0], c[1]) for c in d["coords"])
+        if d.get("coords") is not None:
+            coords = tuple(
+                _point(c, f"coords[{i}]")
+                for i, c in enumerate(_typed(d["coords"], list, "coords"))
+            )
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidSurfaceError(f"malformed surface JSON: {exc}") from exc
     return Surface(vertex_count, tuple(edges), tuple(faces), coords)

@@ -470,6 +470,12 @@ def test_evaluate_mixed_t2_hits_target():
     assert r.match
 
 
+def test_evaluate_mixed_many_logicals_hits_target():
+    r = evaluate(ArchSpec("mixed-diamond-hole", h=3, t=3), compute_distance=True)
+    assert (r.k, r.d_z, r.d_x) == (26, 6, 6)
+    assert r.match
+
+
 def test_report_match_flag_with_error():
     r = ArchReport(spec=ArchSpec("torus", L=2), error="boom")
     assert not r.match

@@ -101,6 +101,32 @@ def test_validate_unreadable_input_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _mutated_square(path, mutate):
+    d = json.loads(to_json(square()))
+    mutate(d)
+    path.write_text(json.dumps(d), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: d["coords"].__setitem__(2, [0.0]),
+        lambda d: d.__setitem__("coords", [["0", "0"]] * 4),
+        lambda d: d["edges"][0].__setitem__("open", "no"),
+        lambda d: d.__setitem__("vertex_count", 4.7),
+    ],
+    ids=["short-coords", "string-coords", "string-open-flag", "float-vertex-count"],
+)
+def test_mistyped_surface_json_exits_1(tmp_path, capsys, mutate):
+    # Each of these used to escape as a raw exception or be silently misread.
+    bad = _mutated_square(tmp_path / "bad.json", mutate)
+    for argv in (["validate", str(bad)], ["export-svg", str(bad), "-o", str(tmp_path / "x.svg")]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "malformed surface JSON" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------

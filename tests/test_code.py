@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from conftest import CORPUS, CORPUS_IDS, STRICT_CORPUS, STRICT_CORPUS_IDS, random_surface, square
 from homolattice import (
     BinaryMatrix,
     BitVector,
-    BudgetError,
     DistanceResult,
     Exhausted,
     InvalidSurfaceError,
@@ -17,6 +18,7 @@ from homolattice import (
     ModelingError,
     NoLogicalsError,
     OutOfDomainError,
+    STRICT_ALL,
     UnsupportedTopologyError,
     boundary_maps,
     build_css,
@@ -34,6 +36,7 @@ from homolattice import (
     logical_basis_boundary_strategy,
     logical_basis_generic,
     logical_count,
+    validate,
     verify_logical_basis,
 )
 
@@ -261,21 +264,23 @@ def test_bruteforce_oracle_exhaustion():
     )
 
 
-def test_budget_gate_and_env_override(monkeypatch):
-    s = dict(CORPUS)["d4221"]  # dim H1 = 11 -> needs 2^11 sheets
-    with pytest.raises(BudgetError):
-        distance_z(s, budget=1024)
-    monkeypatch.setenv("HOMOLATTICE_BUDGET", "1024")
-    with pytest.raises(BudgetError):
-        distance_z(s)
-    monkeypatch.setenv("HOMOLATTICE_BUDGET", "4096")
+def test_exact_distance_of_many_logical_fixture():
+    s = dict(CORPUS)["d4221"]  # dim H1 = 11
     assert distance_z(s).d == 3
-    monkeypatch.setenv("HOMOLATTICE_BUDGET", "not-a-number")
-    with pytest.raises(ValueError):
-        distance_z(s)
-    # Explicit budget wins over the environment.
-    monkeypatch.setenv("HOMOLATTICE_BUDGET", "1024")
-    assert distance_z(s, budget=4096).d == 3
+
+
+def test_exact_equals_brute_on_random_surfaces():
+    rng = random.Random(20261018)
+    checked = 0
+    for _ in range(300):
+        s = random_surface(rng)
+        if len(boundary_maps(s).interior_edges) > 16 or h1_dim(s) == 0:
+            continue
+        checked += 1
+        assert distance_z(s).d == distance_z(s, "brute").d
+        if validate(s, STRICT_ALL).ok:
+            assert distance_x(s).d == distance_x(s, "brute").d
+    assert checked >= 10
 
 
 # ---------------------------------------------------------------------------
