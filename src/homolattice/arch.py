@@ -25,7 +25,8 @@ from fractions import Fraction
 
 from .code import distance_x, distance_z, logical_count
 from .errors import HomolatticeError, ModelingError, OutOfDomainError, OverheadError
-from .surface import STRICT_ALL, Surface, _classify_unchecked, canonicalize, require_valid
+from .homology import boundary_maps
+from .surface import STRICT_ALL, Surface, canonicalize, require_valid
 
 __all__ = [
     "FAMILIES",
@@ -81,9 +82,18 @@ class ArchSpec:
     L2: int | None = None
 
     def resolved(self) -> ArchSpec:
-        """Fill defaulted parameters and check domain constraints."""
-        if self.family not in FAMILIES:
+        """Fill defaulted parameters and check domain constraints.
+
+        Raises:
+            OutOfDomainError: on an unknown family, a set parameter that is
+                not exactly an ``int`` (a bool is not), or one out of range.
+        """
+        if type(self.family) is not str or self.family not in FAMILIES:
             raise OutOfDomainError(f"unknown family {self.family!r}")
+        for name in ("h", "h2", "t", "L", "L2"):
+            value = getattr(self, name)
+            if value is not None and type(value) is not int:
+                raise OutOfDomainError(f"{name} must be an integer, got {value!r}")
         if self.family in _HOLE_FAMILIES:
             h, t = self.h, self.t
             h2 = self.h2 if self.h2 is not None else h
@@ -545,15 +555,15 @@ def evaluate(
     match flag.)
     """
     r = spec.resolved()
-    s = generate(r)
+    cx = boundary_maps(generate(r))
     formula_n, formula_k, formula_d = family_formulas(r)
-    n = len(_classify_unchecked(s).interior_edges)
-    k = logical_count(s)
+    n = len(cx.interior_edges)
+    k = logical_count(cx)
     d_z = d_x = d = None
     ratio = None
     if compute_distance and k > 0:
-        d_z = distance_z(s, method).d
-        d_x = distance_x(s, method).d
+        d_z = distance_z(cx, method).d
+        d_x = distance_x(cx, method).d
         d = min(d_z, d_x)
         ratio = overhead(n, k, d)
         if r.family == "mixed-diamond-hole" and d < 2 * r.t:

@@ -17,6 +17,7 @@ from pathlib import Path
 from .arch import FAMILIES, ArchSpec, compare_table, generate, reports_to_csv
 from .code import (
     DistanceResult,
+    _permute_bits,
     distance_bruteforce_oracle,
     distance_x,
     distance_z,
@@ -27,26 +28,13 @@ from .code import (
 )
 from .dual import dualize
 from .errors import HomolatticeError
-from .f2 import BitVector
 from .homology import boundary_maps
-from .surface import (
-    STRICT_ALL,
-    Surface,
-    load_surface,
-    save_surface,
-    validate,
-)
+from .surface import STRICT_ALL, load_surface, save_surface, validate
 from .svg import render_svg
 
 __all__ = ["main", "entry"]
 
 _SPEC_KEYS = ("family", "h", "h2", "t", "L", "L2")
-
-
-def _witness_edges(s: Surface, witness: BitVector) -> list[int]:
-    """Translate qubit positions of a witness into original edge indices."""
-    interior = boundary_maps(s).interior_edges
-    return [interior[pos] for pos in witness.support]
 
 
 def _write_text(path: str, text: str) -> None:
@@ -72,15 +60,15 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    s = load_surface(args.input)
-    n = len(boundary_maps(s).interior_edges)
-    k = logical_count(s)
+    cx = boundary_maps(load_surface(args.input))
+    n = len(cx.interior_edges)
+    k = logical_count(cx)
     result: dict[str, object] = {"n": n, "k": k}
     print(f"n={n}")
     print(f"k={k}")
     if args.distance != "none":
-        d_z = distance_z(s, args.distance)
-        d_x = distance_x(s, args.distance)
+        d_z = distance_z(cx, args.distance)
+        d_x = distance_x(cx, args.distance)
         d = min(d_z.d, d_x.d)
         result.update({"d_z": d_z.d, "d_x": d_x.d, "d": d, "method": d_z.method})
         print(f"d_z={d_z.d}")
@@ -125,14 +113,14 @@ def _cmd_dualize(args: argparse.Namespace) -> int:
 
 
 def _cmd_logicals(args: argparse.Namespace) -> int:
-    s = load_surface(args.input)
+    cx = boundary_maps(load_surface(args.input))
     if args.method == "generic":
-        basis = logical_basis_generic(s)
+        basis = logical_basis_generic(cx)
     else:
-        basis = logical_basis_boundary_strategy(s)
-    verify_logical_basis(s, basis)
+        basis = logical_basis_boundary_strategy(cx)
+    verify_logical_basis(cx, basis)
     pairs = [
-        {"x_edges": _witness_edges(s, x), "z_edges": _witness_edges(s, z)}
+        {"x_edges": cx.chain_edges(x), "z_edges": cx.chain_edges(z)}
         for x, z in basis.pairs
     ]
     payload = {"k": basis.k, "method": args.method, "pairs": pairs}
@@ -142,30 +130,25 @@ def _cmd_logicals(args: argparse.Namespace) -> int:
 
 
 def _cmd_distance(args: argparse.Namespace) -> int:
-    s = load_surface(args.input)
-    compute = distance_z if args.side == "z" else distance_x
+    cx = boundary_maps(load_surface(args.input))
+    back = None  # dual-to-primal qubit permutation for a capped X search
     if args.method == "exact" or args.wmax is None:
-        res = compute(s, args.method)
-        edges = _witness_edges(s, res.witness)
+        compute = distance_z if args.side == "z" else distance_x
+        res = compute(cx, args.method)
+    elif args.side == "z":
+        res = distance_bruteforce_oracle(cx, args.wmax)
     else:
-        if args.side == "z":
-            capped = distance_bruteforce_oracle(s, args.wmax)
-            target = s
-        else:
-            dual, corr = dualize(s)
-            capped = distance_bruteforce_oracle(dual, args.wmax)
-            target = dual
-        if not isinstance(capped, DistanceResult):
-            print(f"exhausted: no non-trivial cycle of weight <= {capped.w_max}")
-            return 0
-        edges = _witness_edges(target, capped.witness)
-        if args.side == "x":
-            back = {de: e for e, de in corr.interior_edge_to_dual_edge.items()}
-            edges = sorted(back[de] for de in edges)
-        res = capped
+        dcx, _, back = cx.dual
+        res = distance_bruteforce_oracle(dcx, args.wmax)
+    if not isinstance(res, DistanceResult):
+        print(f"exhausted: no non-trivial cycle of weight <= {res.w_max}")
+        return 0
+    witness = res.witness
+    if back is not None:
+        witness = _permute_bits(witness.bits, back, witness.length)
     print(f"d_{args.side}={res.d}")
     print(f"method={res.method}")
-    print(f"witness_edges={json.dumps(edges)}")
+    print(f"witness_edges={json.dumps(cx.chain_edges(witness))}")
     return 0
 
 
@@ -175,6 +158,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         raise HomolatticeError("spec file must hold a JSON array of objects")
     specs = []
     for entry_obj in entries:
+        if not isinstance(entry_obj, dict):
+            raise HomolatticeError(f"spec entry {entry_obj!r} is not a JSON object")
         unknown = set(entry_obj) - set(_SPEC_KEYS)
         if unknown:
             raise HomolatticeError(f"unknown spec keys: {sorted(unknown)}")

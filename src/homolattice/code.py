@@ -7,6 +7,9 @@ the statement d1 @ d2 = 0.  The logical count is dim H1 of the relative
 complex; Z distances are minimum weights of non-trivial relative cycles of
 the surface and X distances the same on its dual.
 
+Every public function accepts a surface or its ``boundary_maps`` complex,
+which validates, counts and dualizes the surface once for all calls.
+
 The exact distance method picks functionals u_1..u_m (a basis of ker d2^T
 modulo the row space of d1, m = dim H1) that vanish on trivial cycles and
 gives every qubit edge the signature (u_i at e)_i in F2^m; a relative cycle
@@ -24,7 +27,6 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 
-from .dual import DualCorrespondence, dualize
 from .errors import (
     ModelingError,
     NoLogicalsError,
@@ -32,7 +34,6 @@ from .errors import (
     UnsupportedTopologyError,
 )
 from .f2 import (
-    BinaryMatrix,
     BitVector,
     DegeneratePairingError,
     _echelon,
@@ -42,14 +43,8 @@ from .f2 import (
     rank,
     symplectic_pairing,
 )
-from .homology import ChainComplex, _build_unchecked, boundary_maps, h1_dim
-from .surface import (
-    STRICT_ALL,
-    Surface,
-    _classify_unchecked,
-    _edge_faces,
-    require_valid,
-)
+from .homology import ChainComplex, _complex, h1_dim
+from .surface import Surface, _edge_faces
 
 __all__ = [
     "CssCode",
@@ -118,10 +113,10 @@ class Exhausted:
     w_max: int
 
 
-def build_css(s: Surface) -> CssCode:
+def build_css(s: Surface | ChainComplex) -> CssCode:
     """Extract the CSS code: X stabilizers from non-open vertices (rows of d1),
     Z stabilizers from all faces (columns of d2)."""
-    cx = boundary_maps(s)
+    cx = _complex(s)
     n = len(cx.interior_edges)
     x_stabs = tuple(BitVector(n, bits) for bits in cx.d1.row_bits)
     d2t = cx.d2.transpose()
@@ -136,14 +131,13 @@ def build_css(s: Surface) -> CssCode:
     )
 
 
-def logical_count(s: Surface) -> int:
+def logical_count(s: Surface | ChainComplex) -> int:
     """Number of logical qubits: dim H1, cross-checked against
-    n - rank(X stabilizers) - rank(Z stabilizers)."""
-    k = h1_dim(s)
-    code = build_css(s)
-    sx = BinaryMatrix.from_rows((v.bits for v in code.x_stabilizers), code.n)
-    sz = BinaryMatrix.from_rows((v.bits for v in code.z_stabilizers), code.n)
-    oracle = code.n - rank(sx) - rank(sz)
+    n - rank(X stabilizers) - rank(Z stabilizers), whose rows are those of d1
+    and d2^T."""
+    cx = _complex(s)
+    k = h1_dim(cx)
+    oracle = len(cx.interior_edges) - rank(cx.d1) - rank(cx.d2.transpose())
     if k != oracle:
         raise ModelingError(
             f"h1 dimension ({k}) disagrees with stabilizer rank count ({oracle})"
@@ -195,10 +189,9 @@ def _homology_functionals(cx: ChainComplex) -> list[int]:
     start = len(pivots)
     _echelon((u.bits for u in kernel_basis(cx.d2.transpose())), pivots)
     out = list(pivots.values())[start:]
-    expected = (cx.d1.cols - rank(cx.d1)) - rank(cx.d2)
-    if len(out) != expected:
+    if len(out) != cx.h1:
         raise ModelingError(
-            f"functional basis has {len(out)} elements, expected {expected}"
+            f"functional basis has {len(out)} elements, expected {cx.h1}"
         )
     return out
 
@@ -227,8 +220,9 @@ def _certify_witness(cx: ChainComplex, witness: BitVector, d: int, side: str) ->
         raise ModelingError(f"{side} witness is homologically trivial")
 
 
-def _exact_min_cycle(s: Surface, cx: ChainComplex) -> tuple[int, BitVector]:
-    """Minimum weight and witness over non-trivial relative cycles of ``s``.
+def _exact_min_cycle(cx: ChainComplex) -> tuple[int, BitVector]:
+    """Minimum weight and witness over non-trivial relative cycles of the
+    surface of ``cx``.
 
     The search graph has one node per non-open vertex plus one terminal
     standing for every open vertex; each qubit edge keeps its signature, so a
@@ -271,8 +265,9 @@ def _exact_min_cycle(s: Surface, cx: ChainComplex) -> tuple[int, BitVector]:
     node_of_vertex: dict[int, int] = dict(cx.vertex_row)
     terminal = len(cx.interior_vertices)
     adj: list[list[tuple[int, int]]] = [[] for _ in range(terminal + 1)]
+    edges = cx.surface.edges
     for pos, ei in enumerate(cx.interior_edges):
-        e = s.edges[ei]
+        e = edges[ei]
         a = node_of_vertex.get(e.u, terminal)
         b = node_of_vertex.get(e.v, terminal)
         adj[a].append((b, pos))
@@ -321,11 +316,13 @@ def _exact_min_cycle(s: Surface, cx: ChainComplex) -> tuple[int, BitVector]:
     return best, BitVector(n, best_bits)
 
 
-def distance_bruteforce_oracle(s: Surface, w_max: int) -> DistanceResult | Exhausted:
+def distance_bruteforce_oracle(
+    s: Surface | ChainComplex, w_max: int
+) -> DistanceResult | Exhausted:
     """Enumerate edge subsets by increasing weight; return the first
     non-trivial relative cycle, or :class:`Exhausted` if none has weight
     <= ``w_max``.  Independent of the exact search's machinery."""
-    cx = boundary_maps(s)
+    cx = _complex(s)
     n = len(cx.interior_edges)
     trivial = _echelon(cx.d2.transpose().row_bits)
     columns = [cx.d1.column(j).bits for j in range(n)]
@@ -343,7 +340,7 @@ def distance_bruteforce_oracle(s: Surface, w_max: int) -> DistanceResult | Exhau
     return Exhausted(w_max=min(w_max, n))
 
 
-def distance_z(s: Surface, method: str = "exact") -> DistanceResult:
+def distance_z(s: Surface | ChainComplex, method: str = "exact") -> DistanceResult:
     """Minimum weight of a non-trivial relative cycle of ``s`` (Z distance).
 
     ``method`` is ``"exact"`` (fundamental-cycle search over breadth-first
@@ -357,34 +354,18 @@ def distance_z(s: Surface, method: str = "exact") -> DistanceResult:
     """
     if method not in ("exact", "brute"):
         raise OutOfDomainError(f"unknown distance method {method!r}")
-    cx = boundary_maps(s)
+    cx = _complex(s)
     if method == "brute":
-        if h1_dim(s) == 0:
+        if h1_dim(cx) == 0:
             raise NoLogicalsError("surface encodes no logical qubits (dim H1 = 0)")
-        res = distance_bruteforce_oracle(s, len(cx.interior_edges))
+        res = distance_bruteforce_oracle(cx, len(cx.interior_edges))
         if isinstance(res, Exhausted):  # unreachable with dim H1 >= 1
             raise ModelingError("uncapped brute force exhausted with dim H1 >= 1")
         _certify_witness(cx, res.witness, res.d, "primal")
         return res
-    d, witness = _exact_min_cycle(s, cx)
+    d, witness = _exact_min_cycle(cx)
     _certify_witness(cx, witness, d, "primal")
     return DistanceResult(d=d, witness=witness, side="primal", method="exact-search")
-
-
-def _dual_machinery(
-    s: Surface,
-) -> tuple[Surface, DualCorrespondence, ChainComplex, list[int]]:
-    """Dual surface, correspondence, dual complex, and the qubit permutation
-    ``primal_pos_of_dual_pos`` induced by the non-open edge bijection."""
-    dual, corr = dualize(s)
-    cx = _build_unchecked(s)
-    dcx = _build_unchecked(dual)
-    if len(cx.interior_edges) != len(dcx.interior_edges):
-        raise ModelingError("non-open edge bijection broken: qubit counts differ")
-    primal_pos_of_dual_pos = [0] * len(dcx.interior_edges)
-    for e, de in corr.interior_edge_to_dual_edge.items():
-        primal_pos_of_dual_pos[dcx.edge_index[de]] = cx.edge_index[e]
-    return dual, corr, dcx, primal_pos_of_dual_pos
 
 
 def _permute_bits(bits_in: int, new_pos_of_old_pos: list[int], n: int) -> BitVector:
@@ -398,15 +379,15 @@ def _permute_bits(bits_in: int, new_pos_of_old_pos: list[int], n: int) -> BitVec
     return BitVector(n, bits)
 
 
-def distance_x(s: Surface, method: str = "exact") -> DistanceResult:
+def distance_x(s: Surface | ChainComplex, method: str = "exact") -> DistanceResult:
     """Minimum weight of a non-trivial relative cycle of the dual of ``s``
     (X distance), expressed in the qubit coordinates of ``s``.
 
     Requires ``s`` to be strictly valid (dualizable); otherwise as
     :func:`distance_z`.
     """
-    dual, _, dcx, back = _dual_machinery(s)
-    res = distance_z(dual, method)
+    dcx, _, back = _complex(s).dual
+    res = distance_z(dcx, method)
     witness = _permute_bits(res.witness.bits, back, len(dcx.interior_edges))
     return DistanceResult(d=res.d, witness=witness, side="dual", method=res.method)
 
@@ -415,20 +396,22 @@ def distance_x(s: Surface, method: str = "exact") -> DistanceResult:
 # Logical bases.
 
 
-def logical_basis_generic(s: Surface) -> LogicalBasis:
+def logical_basis_generic(s: Surface | ChainComplex) -> LogicalBasis:
     """Symplectic basis from algebraic homology representatives.
 
     Z logicals are a kernel basis of d1 reduced modulo face boundaries; X
     logicals are the same on the dual, mapped back through the non-open edge
     bijection; :func:`symplectic_pairing` then normalizes the pairing to the
     identity.  k always equals dim H1.
+
+    Raises:
+        InvalidSurfaceError: if ``s`` is not strictly valid.
     """
-    require_valid(s, STRICT_ALL)
-    k = h1_dim(s)
+    cx = _complex(s)
+    dcx, _, back = cx.dual
+    k = h1_dim(cx)
     if k == 0:
         return LogicalBasis(pairs=())
-    cx = _build_unchecked(s)
-    _, _, dcx, back = _dual_machinery(s)
     z_ops = _homology_representatives(cx)
     x_ops = [
         _permute_bits(x.bits, back, len(cx.interior_edges))
@@ -539,7 +522,7 @@ def _bfs_path(
     return None
 
 
-def logical_basis_boundary_strategy(s: Surface) -> LogicalBasis:
+def logical_basis_boundary_strategy(s: Surface | ChainComplex) -> LogicalBasis:
     """Geometric symplectic basis for genus-0 surfaces with boundary.
 
     Z logicals: every maximal non-open rim run but the last (in deterministic
@@ -551,11 +534,14 @@ def logical_basis_boundary_strategy(s: Surface) -> LogicalBasis:
     blocks, so symplectic normalization always succeeds.
 
     Raises:
+        InvalidSurfaceError: if ``s`` is not strictly valid.
         UnsupportedTopologyError: if the boundary structure does not account
             for all of dim H1 (e.g. positive genus or disconnected input).
     """
-    require_valid(s, STRICT_ALL)
-    k = h1_dim(s)
+    cx = _complex(s)
+    dcx, corr, back = cx.dual
+    s = cx.surface
+    k = h1_dim(cx)
     holes = _boundary_holes(s)
     runs: list[list[int]] = []
     for walk in holes:
@@ -575,17 +561,15 @@ def logical_basis_boundary_strategy(s: Surface) -> LogicalBasis:
     if k == 0:
         return LogicalBasis(pairs=())
 
-    cx = _build_unchecked(s)
     n = len(cx.interior_edges)
-    dual, corr, dcx, back = _dual_machinery(s)
 
     z_ops: list[BitVector] = []
     x_ops: list[BitVector] = []
 
     if lc >= 1:
+        dual = dcx.surface
         dual_adj: list[list[tuple[int, int]]] = [[] for _ in range(dual.vertex_count)]
-        dclass = _classify_unchecked(dual)
-        for dei in sorted(dclass.interior_edges):
+        for dei in dcx.interior_edges:
             de = dual.edges[dei]
             dual_adj[de.u].append((de.v, dei))
             dual_adj[de.v].append((de.u, dei))
@@ -651,15 +635,15 @@ def logical_basis_boundary_strategy(s: Surface) -> LogicalBasis:
     return LogicalBasis(pairs=tuple(pairs))
 
 
-def verify_logical_basis(s: Surface, basis: LogicalBasis) -> None:
+def verify_logical_basis(s: Surface | ChainComplex, basis: LogicalBasis) -> None:
     """Certify a LogicalBasis: counts, pairing, stabilizer commutation, and
     per-side homological non-triviality.  Raises ModelingError on any failure.
     """
-    k = h1_dim(s)
+    cx = _complex(s)
+    k = h1_dim(cx)
     if basis.k != k:
         raise ModelingError(f"basis has {basis.k} pairs, dim H1 = {k}")
-    cx = _build_unchecked(s)
-    _, _, dcx, back = _dual_machinery(s)
+    dcx, _, back = cx.dual
     dual_pos_of_primal_pos = [0] * len(back)
     for dpos, ppos in enumerate(back):
         dual_pos_of_primal_pos[ppos] = dpos
@@ -680,7 +664,7 @@ def verify_logical_basis(s: Surface, basis: LogicalBasis) -> None:
                 raise ModelingError(
                     f"pairing <x_{i}, z_{j}> = {x.dot(z2)}, expected {int(i == j)}"
                 )
-    code = build_css(s)
+    code = build_css(cx)
     for i, (x, z) in enumerate(basis.pairs):
         for sv in code.z_stabilizers:
             if x.dot(sv):

@@ -13,13 +13,18 @@ time and a failure raises :class:`ModelingError`, since everything downstream
 ``h1_dim`` computes dim ker(d1)/im(d2) two ways — a counting formula with
 connected-component correction terms, and a direct rank computation — and
 insists they agree.
+
+The :class:`ChainComplex` that :func:`boundary_maps` returns is the analysis
+of its surface: every homology and code function accepts it in place of the
+surface, and it computes dim H1 and the dual once each.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
+from .dual import DualCorrespondence, dualize
 from .errors import ModelingError, OutOfDomainError
 from .f2 import BinaryMatrix, BitVector, in_span, rank
 from .surface import (
@@ -48,6 +53,7 @@ class ChainComplex:
     ``interior_vertices`` / ``interior_edges`` are the ascending non-open cell
     indices; position in these tuples is the row/column in ``d1`` and the row
     in ``d2``.  ``d2`` columns are indexed by face number directly.
+    ``surface`` is the validated source; ``h1`` and ``dual`` are cached.
     """
 
     d2: BinaryMatrix
@@ -55,6 +61,7 @@ class ChainComplex:
     interior_vertices: tuple[int, ...]
     interior_edges: tuple[int, ...]
     face_count: int
+    surface: Surface = field(repr=False, compare=False)
 
     @cached_property
     def vertex_row(self) -> dict[int, int]:
@@ -74,6 +81,50 @@ class ChainComplex:
     def chain_edges(self, z: BitVector) -> tuple[int, ...]:
         """Surface edge indices in the support of a chain vector."""
         return tuple(self.interior_edges[i] for i in z.support)
+
+    @cached_property
+    def h1(self) -> int:
+        """dim H1 by the counting formula
+
+            -|interior vertices| + |interior edges| - |faces|
+                + kappa_no_open_vertex + kappa_no_closed_boundary_edge
+
+        cross-checked against the rank-based value; a mismatch raises
+        :class:`ModelingError`.
+        """
+        s = self.surface
+        cls = _classify_unchecked(s)
+        formula = (
+            -len(self.interior_vertices)
+            + len(self.interior_edges)
+            - self.face_count
+            + _kappa_no_open_vertex(s, cls)
+            + _kappa_no_closed_boundary_edge(s, cls)
+        )
+        oracle = (self.d1.cols - rank(self.d1)) - rank(self.d2)
+        if formula != oracle:
+            raise ModelingError(
+                f"h1 formula ({formula}) disagrees with rank computation ({oracle})"
+            )
+        return formula
+
+    @cached_property
+    def dual(self) -> tuple[ChainComplex, DualCorrespondence, list[int]]:
+        """``(dual complex, correspondence, primal_pos_of_dual_pos)``: the
+        complex of :func:`dualize`'s already strictly valid output, and the
+        qubit permutation induced by the non-open edge bijection.
+
+        Raises:
+            InvalidSurfaceError: if the surface is not strictly valid.
+        """
+        dual, corr = dualize(self.surface)
+        dcx = _build_unchecked(dual)
+        if len(self.interior_edges) != len(dcx.interior_edges):
+            raise ModelingError("non-open edge bijection broken: qubit counts differ")
+        primal_pos_of_dual_pos = [0] * len(dcx.interior_edges)
+        for e, de in corr.interior_edge_to_dual_edge.items():
+            primal_pos_of_dual_pos[dcx.edge_index[de]] = self.edge_index[e]
+        return dcx, corr, primal_pos_of_dual_pos
 
 
 def _build_unchecked(s: Surface) -> ChainComplex:
@@ -101,11 +152,12 @@ def _build_unchecked(s: Surface) -> ChainComplex:
 
     if not d1.matmul(d2).is_zero():
         raise ModelingError("d1 @ d2 != 0: boundary maps do not compose to zero")
-    return ChainComplex(d2, d1, interior_vertices, interior_edges, len(s.faces))
+    return ChainComplex(d2, d1, interior_vertices, interior_edges, len(s.faces), s)
 
 
 def boundary_maps(s: Surface) -> ChainComplex:
-    """Build the relative chain complex of a valid surface.
+    """Build the relative chain complex of a valid surface, which is also
+    the analysis every homology and code function accepts in its place.
 
     Raises:
         InvalidSurfaceError: if ``s`` does not validate.
@@ -114,6 +166,11 @@ def boundary_maps(s: Surface) -> ChainComplex:
     """
     require_valid(s)
     return _build_unchecked(s)
+
+
+def _complex(s: Surface | ChainComplex) -> ChainComplex:
+    """``s`` itself if it is already a complex, else ``boundary_maps(s)``."""
+    return s if isinstance(s, ChainComplex) else boundary_maps(s)
 
 
 def cycle_space_dim(s: Surface) -> int:
@@ -128,53 +185,31 @@ def cycle_space_dim(s: Surface) -> int:
     )
 
 
-def h1_dim_oracle(s: Surface) -> int:
+def h1_dim_oracle(s: Surface | ChainComplex) -> int:
     """dim H1 by direct rank computation: dim ker d1 - dim im d2."""
-    cx = boundary_maps(s)
+    cx = _complex(s)
     return (cx.d1.cols - rank(cx.d1)) - rank(cx.d2)
 
 
-def h1_dim(s: Surface) -> int:
-    """dim H1 of the relative complex (number of independent logical classes).
-
-    Computed by the counting formula
-
-        -|interior vertices| + |interior edges| - |faces|
-            + kappa_no_open_vertex + kappa_no_closed_boundary_edge
-
-    and cross-checked against the rank-based value; a mismatch raises
-    :class:`ModelingError`.
-    """
-    cx = boundary_maps(s)
-    cls = _classify_unchecked(s)
-    formula = (
-        -len(cx.interior_vertices)
-        + len(cx.interior_edges)
-        - cx.face_count
-        + _kappa_no_open_vertex(s, cls)
-        + _kappa_no_closed_boundary_edge(s, cls)
-    )
-    oracle = (cx.d1.cols - rank(cx.d1)) - rank(cx.d2)
-    if formula != oracle:
-        raise ModelingError(
-            f"h1 formula ({formula}) disagrees with rank computation ({oracle})"
-        )
-    return formula
+def h1_dim(s: Surface | ChainComplex) -> int:
+    """dim H1 of the relative complex (number of independent logical classes),
+    by the counting formula cross-checked against ranks (see
+    :attr:`ChainComplex.h1`)."""
+    return _complex(s).h1
 
 
-def is_relative_cycle(s: Surface, z: BitVector) -> bool:
+def is_relative_cycle(s: Surface | ChainComplex, z: BitVector) -> bool:
     """True iff ``z`` (a vector over the non-open edges) satisfies d1 z = 0."""
-    cx = boundary_maps(s)
-    return not cx.d1.matvec(z)
+    return not _complex(s).d1.matvec(z)
 
 
-def is_trivial_cycle(s: Surface, z: BitVector) -> bool:
+def is_trivial_cycle(s: Surface | ChainComplex, z: BitVector) -> bool:
     """True iff the relative cycle ``z`` is a sum of face boundaries.
 
     Raises:
         OutOfDomainError: if ``z`` is not a relative cycle.
     """
-    cx = boundary_maps(s)
+    cx = _complex(s)
     if cx.d1.matvec(z):
         raise OutOfDomainError("z is not a relative cycle (d1 z != 0)")
     return in_span(cx.d2.transpose(), z)

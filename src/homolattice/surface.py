@@ -200,47 +200,27 @@ def _edge_faces(s: Surface) -> list[list[int]]:
     return incidence
 
 
-def _face_is_cycle(s: Surface, face: tuple[int, ...]) -> bool:
-    """True iff the face's edge set forms one self-avoiding closed cycle."""
-    if not face or len(set(face)) != len(face):
-        return False
-    degree: dict[int, list[int]] = {}
-    for ei in face:
-        if not 0 <= ei < len(s.edges):
-            return False
-        e = s.edges[ei]
-        if e.u == e.v:
-            return False
-        for w in (e.u, e.v):
-            degree.setdefault(w, []).append(ei)
-    if any(len(eids) != 2 for eids in degree.values()):
-        return False
-    # Connectivity: walk from the first edge; a cycle visits every edge.
-    start = face[0]
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        ei = frontier.pop()
-        e = s.edges[ei]
-        for w in (e.u, e.v):
-            for nxt in degree[w]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-    return len(seen) == len(face)
-
-
-def _face_cycle_order(s: Surface, face: tuple[int, ...]) -> tuple[int, ...]:
-    """Canonical traversal of a valid cycle face.
+def _face_cycle_order(s: Surface, face: tuple[int, ...]) -> tuple[int, ...] | None:
+    """Canonical traversal of a face, or None unless its edges form one
+    self-avoiding closed cycle (no repeated, out-of-range or loop edge, every
+    vertex of degree 2, and a single closed walk through all of them).
 
     Starts at the lowest edge index and proceeds toward its lower-indexed
     neighbor, yielding a deterministic cyclic order.
     """
+    if not face or len(set(face)) != len(face):
+        return None
     at_vertex: dict[int, list[int]] = {}
     for ei in face:
+        if not 0 <= ei < len(s.edges):
+            return None
         e = s.edges[ei]
+        if e.u == e.v:
+            return None
         at_vertex.setdefault(e.u, []).append(ei)
         at_vertex.setdefault(e.v, []).append(ei)
+    if any(len(eids) != 2 for eids in at_vertex.values()):
+        return None
     start = min(face)
     e = s.edges[start]
     neighbors = []
@@ -254,11 +234,12 @@ def _face_cycle_order(s: Surface, face: tuple[int, ...]) -> tuple[int, ...]:
     while len(order) < len(face):
         cur = order[-1]
         ahead = s.edges[cur].other(prev_vertex)
-        for cand in at_vertex[ahead]:
-            if cand != cur:
-                order.append(cand)
-                prev_vertex = ahead
-                break
+        a, b = at_vertex[ahead]
+        cand = b if a == cur else a
+        if cand == start:
+            return None  # closed before using every edge: several cycles
+        order.append(cand)
+        prev_vertex = ahead
     return tuple(order)
 
 
@@ -330,7 +311,7 @@ def validate(s: Surface, strict: frozenset[str] | set[str] = frozenset()) -> Val
                 )
             )
             continue
-        if not _face_is_cycle(s, face):
+        if _face_cycle_order(s, face) is None:
             out.append(
                 Violation("face-not-cycle", (fi,), f"face {fi} is not a single closed cycle")
             )
@@ -549,10 +530,8 @@ def canonicalize(s: Surface) -> tuple[Surface, list[int], list[int]]:
         idxs = tuple(
             edge_map[ei] if 0 <= ei < len(edge_map) else ei for ei in face
         )
-        if all(0 <= ei < len(new_edges) for ei in idxs) and _face_is_cycle(tmp, idxs):
-            remapped.append(_face_cycle_order(tmp, idxs))
-        else:
-            remapped.append(tuple(sorted(idxs)))
+        cycle = _face_cycle_order(tmp, idxs)
+        remapped.append(cycle if cycle is not None else tuple(sorted(idxs)))
     order = sorted(range(len(remapped)), key=lambda fi: remapped[fi])
     face_map = [0] * len(remapped)
     for new_idx, old_idx in enumerate(order):

@@ -8,7 +8,9 @@ is the subset that also passes the strict tier (and is therefore dualizable).
 from __future__ import annotations
 
 import random
+import sys
 
+import homolattice.surface
 from homolattice import (
     ArchSpec,
     Edge,
@@ -254,3 +256,25 @@ def random_surface(rng: random.Random) -> Surface:
         sides = {side for side in ("left", "right", "top", "bottom") if rng.random() < 0.5}
         s = open_sides(s, sides)
     return s
+
+
+# ---------------------------------------------------------------------------
+# Call counting.
+
+
+def count_validations(monkeypatch) -> list:
+    """Count calls to ``surface.validate`` through every package module
+    attribute that holds it; returns the list the calls append to."""
+    original = homolattice.surface.validate
+    calls: list = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "homolattice" or mod_name.startswith("homolattice."):
+            for attr, val in list(vars(mod).items()):
+                if val is original:
+                    monkeypatch.setattr(mod, attr, counting)
+    return calls

@@ -174,6 +174,22 @@ def test_generate_rejects_unknown_family():
         generate(ArchSpec("heavy-hex", L=3))
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ArchSpec("torus", L="3"),
+        ArchSpec("torus", L=3.5),
+        ArchSpec("plain-square", L=True),
+        ArchSpec("square-hole", h=1, t=1.0),
+    ],
+)
+def test_mistyped_spec_is_out_of_domain(spec):
+    # Parameters must be exactly int: "3" is not read, 3.5 does not reach
+    # range(), and True is not silently L = 1.
+    with pytest.raises(OutOfDomainError):
+        generate(spec)
+
+
 # ---------------------------------------------------------------------------
 # direct lattices
 # ---------------------------------------------------------------------------

@@ -5,20 +5,43 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from conftest import square
+import homolattice
+from conftest import count_validations, square
 from homolattice import (
+    ArchSpec,
     Edge,
     Surface,
+    evaluate,
     gen_torus,
+    generate,
     load_surface,
     save_surface,
     to_json,
     validate,
 )
 from homolattice.cli import main
+
+
+def test_python_dash_m_runs_the_cli():
+    # The child must import the same package as this test run.
+    src = str(Path(homolattice.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "homolattice", "--help"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: homolattice" in proc.stdout
 
 
 def _build(tmp_path, capsys, name, *args):
@@ -351,6 +374,8 @@ def test_compare_with_distances(tmp_path, capsys):
         '[{"family": "torus", "L": 3, "bogus": 1}]',
         '[{"L": 3}]',
         "][",
+        "[1]",
+        "[null]",
     ],
 )
 def test_compare_rejects_bad_spec_files(tmp_path, capsys, payload):
@@ -358,6 +383,24 @@ def test_compare_rejects_bad_spec_files(tmp_path, capsys, payload):
     spec_file.write_text(payload, encoding="utf-8")
     assert main(["compare", "--spec-file", str(spec_file)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"family": "torus", "L": "3"},
+        {"family": "torus", "L": 3.5},
+        {"family": "plain-square", "L": True},
+    ],
+)
+def test_compare_mistyped_parameter_is_an_error_row(tmp_path, capsys, entry):
+    spec_file = tmp_path / "specs.json"
+    spec_file.write_text(json.dumps([entry]), encoding="utf-8")
+    assert main(["compare", "--spec-file", str(spec_file)]) == 0
+    out, err = capsys.readouterr()
+    rows = list(csv.reader(io.StringIO(out)))
+    assert len(rows) == 2 and dict(zip(rows[0], rows[1]))["match"] == "error"
+    assert "Traceback" not in out + err
 
 
 def test_compare_missing_spec_file(tmp_path, capsys):
@@ -393,3 +436,26 @@ def test_export_svg_requires_coordinates(tmp_path, capsys):
     save_surface(no_coords, bare)
     assert main(["export-svg", str(bare), "-o", str(tmp_path / "x.svg")]) == 1
     assert "coordinates" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# analyze once
+# ---------------------------------------------------------------------------
+
+
+def test_each_surface_is_validated_once_per_analysis(tmp_path, capsys, monkeypatch):
+    # The generator, the complex, and dualize (on its input and its output)
+    # validate once each; no verb re-validates per question or per logical.
+    spec = ArchSpec("mixed-diamond-hole", h=2, h2=2, t=2)
+    path = tmp_path / "s.json"
+    save_surface(generate(spec), path)
+    calls = count_validations(monkeypatch)
+    assert evaluate(spec, compute_distance=True).match
+    assert len(calls) <= 4
+    calls.clear()
+    assert main(["logicals", str(path), "-o", str(tmp_path / "l.json")]) == 0
+    assert len(calls) <= 3
+    calls.clear()
+    assert main(["analyze", str(path), "--distance", "exact"]) == 0
+    assert len(calls) <= 3
+    capsys.readouterr()

@@ -28,6 +28,7 @@ from homolattice import (
     distance_z,
     dualize,
     h1_dim,
+    h1_dim_oracle,
     in_span,
     is_relative_cycle,
     is_trivial_cycle,
@@ -94,6 +95,21 @@ def test_logical_count_cross_checks_ranks(name, s):
     # logical_count internally compares dim H1 with n - rank(S_X) - rank(S_Z)
     # and raises on mismatch.
     assert logical_count(s) == h1_dim(s)
+    # Every primal-side function answers the same on the surface and on the
+    # complex that boundary_maps returns for it.
+    cx = boundary_maps(s)
+    k = h1_dim(s)
+    assert logical_count(cx) == h1_dim(cx) == h1_dim_oracle(cx) == h1_dim_oracle(s) == k
+    assert build_css(cx) == build_css(s)
+    assert distance_bruteforce_oracle(cx, 1) == distance_bruteforce_oracle(s, 1)
+    face = cx.d2.matvec(BitVector.from_support(cx.face_count, [0]))
+    assert is_trivial_cycle(cx, face) and is_trivial_cycle(s, face)
+    if k:
+        res = distance_z(s)
+        assert distance_z(cx) == res
+        assert is_relative_cycle(cx, res.witness) and is_relative_cycle(s, res.witness)
+        assert not is_trivial_cycle(cx, res.witness)
+        assert not is_trivial_cycle(s, res.witness)
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +309,12 @@ def test_generic_basis_verified(name, s):
     basis = logical_basis_generic(s)
     assert basis.k == h1_dim(s)
     verify_logical_basis(s, basis)
+    # The dual-side functions answer the same on the surface and its complex.
+    cx = boundary_maps(s)
+    assert logical_basis_generic(cx) == basis
+    verify_logical_basis(cx, basis)
+    if basis.k:
+        assert distance_x(cx) == distance_x(s)
 
 
 @pytest.mark.parametrize(("name", "s"), STRICT_CORPUS, ids=STRICT_CORPUS_IDS)
@@ -302,9 +324,12 @@ def test_boundary_strategy_verified_or_reports_topology(name, s):
     except UnsupportedTopologyError:
         # Positive genus is exactly the unsupported corpus subset.
         assert name in {"torus3", "torus4", "torus5", "torus3+plain2x2"}
+        with pytest.raises(UnsupportedTopologyError):
+            logical_basis_boundary_strategy(boundary_maps(s))
         return
     assert basis.k == h1_dim(s)
     verify_logical_basis(s, basis)
+    assert logical_basis_boundary_strategy(boundary_maps(s)) == basis
 
 
 def test_both_bases_pair_identically():
