@@ -158,15 +158,7 @@ def gen_plain_square(L: int, L2: int) -> Surface:
     if L < 1 or L2 < 1:
         raise OutOfDomainError("L, L2 must be >= 1")
     edges, faces, coords = _plain_cells(L, L2)
-    s = Surface.build(
-        (L + 1) * (L2 + 1),
-        [(u, v, False) for (u, v) in edges],
-        list(faces.values()),
-        coords,
-    )
-    s, _, _ = canonicalize(s)
-    require_valid(s, STRICT_ALL)
-    return s
+    return _punch(len(coords), edges, faces, coords)
 
 
 def gen_torus(L: int) -> Surface:
@@ -184,22 +176,18 @@ def gen_torus(L: int) -> Surface:
             edges.append((a, i * L + (j + 1) % L))
             eidx[(i, j, "v")] = len(edges)
             edges.append((a, ((i + 1) % L) * L + j))
-    faces = []
-    for i in range(L):
-        for j in range(L):
-            faces.append(
-                (
-                    eidx[(i, j, "h")],
-                    eidx[(i, j, "v")],
-                    eidx[(i, (j + 1) % L, "v")],
-                    eidx[((i + 1) % L, j, "h")],
-                )
-            )
+    faces = {
+        (i, j): (
+            eidx[(i, j, "h")],
+            eidx[(i, j, "v")],
+            eidx[(i, (j + 1) % L, "v")],
+            eidx[((i + 1) % L, j, "h")],
+        )
+        for i in range(L)
+        for j in range(L)
+    }
     coords = [(float(j), float(i)) for i in range(L) for j in range(L)]
-    s = Surface.build(L * L, [(u, v, False) for (u, v) in edges], faces, coords)
-    s, _, _ = canonicalize(s)
-    require_valid(s, STRICT_ALL)
-    return s
+    return _punch(len(coords), edges, faces, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -246,19 +234,11 @@ def gen_rotated_square(L: int, L2: int) -> Surface:
     if L < 1 or L2 < 1:
         raise OutOfDomainError("L, L2 must be >= 1")
     _, edges, faces, coords = _rotated_cells(L, L2)
-    s = Surface.build(
-        len(coords),
-        [(u, v, False) for (u, v) in edges],
-        list(faces.values()),
-        coords,
-    )
-    s, _, _ = canonicalize(s)
-    require_valid(s, STRICT_ALL)
-    return s
+    return _punch(len(coords), edges, faces, coords)
 
 
 # ---------------------------------------------------------------------------
-# Hole families.
+# The one build path and the hole geometry.
 
 
 def _punch(
@@ -266,36 +246,45 @@ def _punch(
     edges: list[tuple[int, int]],
     faces: dict,
     coords: list[tuple[float, float]],
-    dropped: set,
+    dropped: set = frozenset(),
     open_edges: set[int] = frozenset(),
 ) -> Surface:
     """Remove the ``dropped`` faces, then edges left faceless, then vertices
-    left edgeless; reindex densely and mark ``open_edges`` (old indices)."""
+    left edgeless; reindex densely, mark ``open_edges`` (old indices), and
+    return the canonicalized, strictly valid surface.  With nothing dropped
+    every edge and vertex of the generators' lattices is kept, so the
+    numbering is unchanged."""
     kept_faces = [f for key, f in faces.items() if key not in dropped]
-    edge_used = [0] * len(edges)
-    for f in kept_faces:
-        for ei in f:
-            edge_used[ei] += 1
-    kept_edge_ids = [ei for ei, cnt in enumerate(edge_used) if cnt > 0]
+    kept_edge_ids = sorted({ei for f in kept_faces for ei in f})
     new_edge_id = {ei: i for i, ei in enumerate(kept_edge_ids)}
-    used_vertices = sorted(
-        {w for ei in kept_edge_ids for w in edges[ei]}
-    )
+    used_vertices = sorted({w for ei in kept_edge_ids for w in edges[ei]})
     new_vertex_id = {v: i for i, v in enumerate(used_vertices)}
     new_edges = [
-        (
-            new_vertex_id[edges[ei][0]],
-            new_vertex_id[edges[ei][1]],
-            ei in open_edges,
-        )
+        (new_vertex_id[edges[ei][0]], new_vertex_id[edges[ei][1]], ei in open_edges)
         for ei in kept_edge_ids
     ]
-    new_faces = [tuple(new_edge_id[ei] for ei in f) for f in kept_faces]
+    new_faces = [tuple(map(new_edge_id.__getitem__, f)) for f in kept_faces]
     new_coords = [coords[v] for v in used_vertices]
     s = Surface.build(len(used_vertices), new_edges, new_faces, new_coords)
     s, _, _ = canonicalize(s)
     require_valid(s, STRICT_ALL)
     return s
+
+
+def _grid(count: int, spacing: int, margin: int) -> list[int]:
+    """Hole positions along one axis: ``margin + a * spacing``."""
+    return [margin + a * spacing for a in range(count)]
+
+
+def _ball(ai: int, bj: int, t: int) -> list[tuple[int, int]]:
+    """The 2t^2+2t+1 rotated-lattice face centers within Chebyshev distance
+    t of the face center (ai, bj)."""
+    return [
+        (ai + di, bj + dj)
+        for di in range(-t, t + 1)
+        for dj in range(-t, t + 1)
+        if (di + dj) % 2 == 0
+    ]
 
 
 def square_hole_lattice_size(h: int, t: int) -> int:
@@ -312,16 +301,14 @@ def gen_square_hole(h: int, h2: int, t: int) -> Surface:
     L = square_hole_lattice_size(h, t)
     L2 = square_hole_lattice_size(h2, t)
     edges, faces, coords = _plain_cells(L, L2)
-    starts_i = [(4 * t - 1) + a * (5 * t - 1) for a in range(h)]
-    starts_j = [(4 * t - 1) + b * (5 * t - 1) for b in range(h2)]
     dropped = {
         (i, j)
-        for ai in starts_i
-        for bj in starts_j
+        for ai in _grid(h, 5 * t - 1, 4 * t - 1)
+        for bj in _grid(h2, 5 * t - 1, 4 * t - 1)
         for i in range(ai, ai + t)
         for j in range(bj, bj + t)
     }
-    return _punch((L + 1) * (L2 + 1), edges, faces, coords, dropped)
+    return _punch(len(coords), edges, faces, coords, dropped)
 
 
 def diamond_hole_lattice_size(h: int, t: int) -> int:
@@ -329,10 +316,6 @@ def diamond_hole_lattice_size(h: int, t: int) -> int:
     10t-4 apart and 9t-4 from the boundary (both exactly saturating the
     4(2t-1) dual-path distance)."""
     return h * (5 * t - 2) + (4 * t - 2)
-
-
-def _diamond_centers(count: int, t: int, spacing: int, margin: int) -> list[int]:
-    return [margin + a * spacing for a in range(count)]
 
 
 def gen_diamond_hole(h: int, h2: int, t: int) -> Surface:
@@ -344,16 +327,11 @@ def gen_diamond_hole(h: int, h2: int, t: int) -> Surface:
     L = diamond_hole_lattice_size(h, t)
     L2 = diamond_hole_lattice_size(h2, t)
     _, edges, faces, coords = _rotated_cells(L, L2)
-    centers_i = _diamond_centers(h, t, 10 * t - 4, 9 * t - 4)
-    centers_j = _diamond_centers(h2, t, 10 * t - 4, 9 * t - 4)
     dropped = {
-        (ci, cj)
-        for ci, cj in faces
-        if any(
-            max(abs(ci - ai), abs(cj - bj)) <= t
-            for ai in centers_i
-            for bj in centers_j
-        )
+        face
+        for ai in _grid(h, 10 * t - 4, 9 * t - 4)
+        for bj in _grid(h2, 10 * t - 4, 9 * t - 4)
+        for face in _ball(ai, bj, t)
     }
     return _punch(len(coords), edges, faces, coords, dropped)
 
@@ -401,54 +379,40 @@ def gen_mixed_diamond_hole(h: int, h2: int, t: int) -> Surface:
     L = mixed_diamond_lattice_size(h, t)
     L2 = mixed_diamond_lattice_size(h2, t)
     vid, edges, faces, coords = _rotated_cells(L, L2)
-    vertex_ij = {idx: ij for ij, idx in vid.items()}
-    pitch = mixed_diamond_pitch(t)
-    margin = mixed_diamond_margin(t)
-    centers_i = _diamond_centers(h, t, pitch, margin)
-    centers_j = _diamond_centers(h2, t, pitch, margin)
-    dropped = {
-        (ci, cj)
-        for ci, cj in faces
-        if any(
-            max(abs(ci - ai), abs(cj - bj)) <= t
-            for ai in centers_i
-            for bj in centers_j
-        )
-    }
-
+    epos = {e: ei for ei, e in enumerate(edges)}
+    centers_i = _grid(h, mixed_diamond_pitch(t), mixed_diamond_margin(t))
+    centers_j = _grid(h2, mixed_diamond_pitch(t), mixed_diamond_margin(t))
+    dropped: set[tuple[int, int]] = set()
     trim = 1 if t >= 2 else 0
     open_ids: set[int] = set()
     for a, ai in enumerate(centers_i):
         for b, bj in enumerate(centers_j):
+            dropped.update(_ball(ai, bj, t))
             open_axis_i = (a + b) % 2 == 0
             for sign in (1, -1):
-                side: list[tuple[float, int]] = []
-                for ei, (eu, ev) in enumerate(edges):
-                    (iu, ju), (iv, jv) = vertex_ij[eu], vertex_ij[ev]
-                    if open_axis_i:
-                        along, off_u, off_v = (ju + jv) / 2.0, iu - ai, iv - ai
-                        cross_ok = abs(ju - bj) <= t and abs(jv - bj) <= t
-                    else:
-                        along, off_u, off_v = (iu + iv) / 2.0, ju - bj, jv - bj
-                        cross_ok = abs(iu - ai) <= t and abs(iv - ai) <= t
-                    if cross_ok and {sign * off_u, sign * off_v} == {t, t + 1}:
-                        side.append((along, ei))
+                # A side joins offsets sign*t and sign*(t+1) along the open
+                # axis, at cross offsets p and q within t; p + q orders it.
+                side: list[tuple[int, int]] = []
+                for p in range(-t, t + 1):
+                    for q in (p - 1, p + 1):
+                        if open_axis_i:
+                            u = (ai + sign * t, bj + p)
+                            v = (ai + sign * (t + 1), bj + q)
+                        else:
+                            u = (ai + p, bj + sign * t)
+                            v = (ai + q, bj + sign * (t + 1))
+                        if abs(q) > t or u not in vid or v not in vid:
+                            continue
+                        ei = epos.get((min(vid[u], vid[v]), max(vid[u], vid[v])))
+                        if ei is not None:
+                            side.append((p + q, ei))
                 side.sort()
                 if len(side) != 2 * t:
                     raise ModelingError(
                         f"hole ({a},{b}) side has {len(side)} edges, expected {2 * t}"
                     )
-                for _, ei in side[trim : len(side) - trim]:
-                    open_ids.add(ei)
-
-    return _punch(
-        len(coords),
-        edges,
-        faces,
-        coords,
-        dropped,
-        open_edges=open_ids,
-    )
+                open_ids.update(ei for _, ei in side[trim : len(side) - trim])
+    return _punch(len(coords), edges, faces, coords, dropped, open_ids)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ stay meaningful next to the surface file.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -85,24 +86,8 @@ def _cmd_dualize(args: argparse.Namespace) -> int:
     save_surface(dual, args.output)
     if args.correspondence is not None:
         payload = {
-            name: {str(key): value for key, value in mapping.items()}
-            for name, mapping in (
-                ("face_to_dual_vertex", corr.face_to_dual_vertex),
-                (
-                    "closed_boundary_edge_to_dual_open_vertex",
-                    corr.closed_boundary_edge_to_dual_open_vertex,
-                ),
-                ("interior_edge_to_dual_edge", corr.interior_edge_to_dual_edge),
-                (
-                    "closed_boundary_vertex_to_dual_open_edge",
-                    corr.closed_boundary_vertex_to_dual_open_edge,
-                ),
-                ("interior_vertex_to_dual_face", corr.interior_vertex_to_dual_face),
-                (
-                    "closed_boundary_vertex_to_dual_open_face",
-                    corr.closed_boundary_vertex_to_dual_open_face,
-                ),
-            )
+            f.name: {str(key): value for key, value in getattr(corr, f.name).items()}
+            for f in dataclasses.fields(corr)
         }
         _write_text(args.correspondence, json.dumps(payload, indent=2) + "\n")
     print(
@@ -130,9 +115,15 @@ def _cmd_logicals(args: argparse.Namespace) -> int:
 
 
 def _cmd_distance(args: argparse.Namespace) -> int:
+    if args.wmax is not None and args.method != "brute":
+        print(
+            "homolattice distance: error: --wmax needs --method brute",
+            file=sys.stderr,
+        )
+        raise SystemExit(2)
     cx = boundary_maps(load_surface(args.input))
     back = None  # dual-to-primal qubit permutation for a capped X search
-    if args.method == "exact" or args.wmax is None:
+    if args.wmax is None:
         compute = distance_z if args.side == "z" else distance_x
         res = compute(cx, args.method)
     elif args.side == "z":

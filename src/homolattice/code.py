@@ -321,7 +321,13 @@ def distance_bruteforce_oracle(
 ) -> DistanceResult | Exhausted:
     """Enumerate edge subsets by increasing weight; return the first
     non-trivial relative cycle, or :class:`Exhausted` if none has weight
-    <= ``w_max``.  Independent of the exact search's machinery."""
+    <= ``w_max``.  Independent of the exact search's machinery.
+
+    Raises:
+        OutOfDomainError: if ``w_max`` < 1 (no cycle has weight below 1).
+    """
+    if w_max < 1:
+        raise OutOfDomainError(f"weight cap must be >= 1, got {w_max}")
     cx = _complex(s)
     n = len(cx.interior_edges)
     trivial = _echelon(cx.d2.transpose().row_bits)

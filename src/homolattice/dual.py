@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidSurfaceError, ModelingError, OutOfDomainError
+from .errors import ModelingError, OutOfDomainError
 from .surface import (
     STRICT_ALL,
     Edge,
@@ -130,10 +130,10 @@ def dualize(s: Surface) -> tuple[Surface, DualCorrespondence]:
     canonicalized (so its JSON form is stable) and is itself strictly valid.
 
     Raises:
-        InvalidSurfaceError: if ``s`` fails strict validation, or if the dual
-            would contain a loop or parallel edge (a girth violation upstream).
-        ModelingError: if the constructed dual fails its own validation —
-            impossible on strictly valid input.
+        InvalidSurfaceError: if ``s`` fails strict validation.
+        ModelingError: if the constructed dual fails its own validation (a
+            loop, a parallel edge or any other defect) — impossible on
+            strictly valid input.
     """
     require_valid(s, STRICT_ALL)
     cls = _classify_unchecked(s)
@@ -167,19 +167,6 @@ def dualize(s: Surface) -> tuple[Surface, DualCorrespondence]:
         a, b = (dual_vertex_of_edge[pair[0]], dual_vertex_of_edge[pair[1]])
         dual_edge_of_vertex[v] = len(raw_edges)
         raw_edges.append(Edge(min(a, b), max(a, b), True))
-
-    seen_pairs: dict[tuple[int, int], int] = {}
-    for de in raw_edges:
-        if de.u == de.v:
-            raise InvalidSurfaceError(
-                "dual would contain a loop edge (primal girth violation)"
-            )
-        key = (de.u, de.v)
-        if key in seen_pairs:
-            raise InvalidSurfaceError(
-                "dual would contain parallel edges (primal girth violation)"
-            )
-        seen_pairs[key] = 1
 
     nonboundary = [
         v

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 from collections import deque
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -359,6 +361,106 @@ def test_generators_emit_canonical_strict_surfaces(spec):
     again, _, _ = canonicalize(s)
     assert to_json(again) == to_json(s)
     assert validate(s).ok
+
+
+# sha256 of each member's canonical JSON.  Canonical JSON is bit-stable, so
+# a generator refactor must leave these unchanged.  Covers every family,
+# untrimmed (t = 1) and trimmed mixed sides, and h != h2.
+PINNED_DIGESTS = [
+    (
+        ArchSpec("plain-square", L=1, L2=1),
+        "c1a5dffd789fea5f978160c6885bf3bb60ee14033170b0f89a60ad18c689d70b",
+    ),
+    (
+        ArchSpec("plain-square", L=3, L2=5),
+        "53ced49580fc3093c684a6683a38a45d5ffbaf041ea16a80a305cfd2205b4e29",
+    ),
+    (
+        ArchSpec("rotated-square", L=2, L2=2),
+        "0faaef51eaf7565fb76ff0196de40f4d99ec4958b24f72858af1bdfc669dd833",
+    ),
+    (
+        ArchSpec("rotated-square", L=3, L2=4),
+        "9a6bc996bdb29b9b24cbab0de57a72ac9ba4b0f0c0b6fdfe0b4145b98dbc067d",
+    ),
+    (
+        ArchSpec("torus", L=3),
+        "bfcdee7d1af1d9cc632f645420508f9e2859ce0f57d3691a7ff9c5444c334fdb",
+    ),
+    (
+        ArchSpec("torus", L=5),
+        "e55a7291cd972eb5abd2e0b26a85d429d0543c951cd9ade502ef6765967a2d53",
+    ),
+    (
+        ArchSpec("square-hole", h=1, t=1),
+        "c27b0bf2f1ed713650ddf7b3754b2a6db231a8af7df8639955bc1b4fb5b439c9",
+    ),
+    (
+        ArchSpec("square-hole", h=2, h2=3, t=2),
+        "c8cd64be0805f253644526a043fe390df3a5d0375b7475a0f698a50c45a5fa6f",
+    ),
+    (
+        ArchSpec("square-hole", h=1, t=3),
+        "42a1c674222b954d766ca94436cc3498a57f6bb7921a96d0574a868a26827cba",
+    ),
+    (
+        ArchSpec("diamond-hole", h=1, t=1),
+        "624b60938afa21db120e67e8e700a14e2ce120a8104f26566df554ce4a906eb9",
+    ),
+    (
+        ArchSpec("diamond-hole", h=2, h2=1, t=2),
+        "403e9dbf19d4cb1ab33bf43c2230b737c1292a2cd491b82369ebf5a7f1697387",
+    ),
+    (
+        ArchSpec("diamond-hole", h=1, h2=2, t=3),
+        "41bfa6c5b14fb9e72858f3db0bdca71fa71d55a559e117ed963ff4a0ccb6cbf3",
+    ),
+    (
+        ArchSpec("mixed-diamond-hole", h=1, t=1),
+        "0ce26b23ded336763c333f48dec936d998feb09f47be9627f6086ad618f4fa69",
+    ),
+    (
+        ArchSpec("mixed-diamond-hole", h=2, t=1),
+        "3a4cd3409767f4217aee349823d5a290b199401db9dc0820c51808bc15eed4c0",
+    ),
+    (
+        ArchSpec("mixed-diamond-hole", h=2, t=2),
+        "20aef5322fd109634949508b6b3331a6ec984933ba5f1e491f56623857dd12da",
+    ),
+    (
+        ArchSpec("mixed-diamond-hole", h=2, h2=3, t=2),
+        "89243e3aa5a57a7a4fda93870c7f6637cf27fae1d9845e9dd19421b269bbb672",
+    ),
+    (
+        ArchSpec("mixed-diamond-hole", h=3, h2=2, t=3),
+        "e37875efe5af1d09e4e1a33fc7002ba3836eea7ae2fa4f986aa467b7d4462fb7",
+    ),
+    (
+        ArchSpec("mixed-diamond-hole", h=1, t=3),
+        "60ba6247f7fcc913e3a64f853a28a2a28779c8f5a53166f59d744e6f411e23bd",
+    ),
+    (
+        ArchSpec("square-hole", h=2, t=1),
+        "999f786566dfbe61c019ffef4ac4c63ea510849b788c1c8ddc0d658729d51170",
+    ),
+    (
+        ArchSpec("diamond-hole", h=2, t=2),
+        "968ac0a60da81897efe67e0f86b73aeddef2145e8a702f979f4b05353cd84ef1",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    ("spec", "digest"),
+    PINNED_DIGESTS,
+    ids=[
+        "-".join([spec.family, *(str(v) for v in astuple(spec)[1:] if v is not None)])
+        for spec, _ in PINNED_DIGESTS
+    ],
+)
+def test_generators_canonical_output_is_pinned(spec, digest):
+    text = to_json(generate(spec))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

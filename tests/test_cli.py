@@ -326,6 +326,27 @@ def test_distance_brute_x_maps_witness_to_primal_edges(tmp_path, capsys):
     assert all(0 <= e < s.edge_count for e in witness)
 
 
+@pytest.mark.parametrize("wmax", ["0", "-1"])
+@pytest.mark.parametrize("side", ["z", "x"])
+def test_distance_brute_cap_below_one_exits_1(tmp_path, capsys, side, wmax):
+    surf = _build(tmp_path, capsys, "t.json", "torus", "--L", "3")
+    argv = ["distance", str(surf), "--side", side, "--method", "brute", "--wmax", wmax]
+    assert main(argv) == 1
+    cap = capsys.readouterr()
+    assert "error:" in cap.err and "Traceback" not in cap.err
+    assert "exhausted" not in cap.out
+
+
+@pytest.mark.parametrize("method", [[], ["--method", "exact"]])
+def test_distance_wmax_without_brute_is_usage_error(tmp_path, capsys, method):
+    surf = _build(tmp_path, capsys, "t.json", "torus", "--L", "3")
+    with pytest.raises(SystemExit) as exc:
+        main(["distance", str(surf), "--side", "z", *method, "--wmax", "3"])
+    assert exc.value.code == 2
+    cap = capsys.readouterr()
+    assert "--wmax" in cap.err and cap.out == ""
+
+
 def test_distance_brute_without_cap_runs_to_completion(tmp_path, capsys):
     surf = _build(tmp_path, capsys, "t.json", "torus", "--L", "3")
     assert main(["distance", str(surf), "--side", "z", "--method", "brute"]) == 0

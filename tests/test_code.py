@@ -280,6 +280,12 @@ def test_bruteforce_oracle_exhaustion():
     )
 
 
+@pytest.mark.parametrize("w_max", [0, -1])
+def test_bruteforce_oracle_rejects_cap_below_one(w_max):
+    with pytest.raises(OutOfDomainError):
+        distance_bruteforce_oracle(dict(CORPUS)["torus3"], w_max)
+
+
 def test_exact_distance_of_many_logical_fixture():
     s = dict(CORPUS)["d4221"]  # dim H1 = 11
     assert distance_z(s).d == 3
