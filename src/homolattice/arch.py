@@ -64,6 +64,9 @@ FAMILIES = (
 
 _HOLE_FAMILIES = ("square-hole", "diamond-hole", "mixed-diamond-hole")
 
+# Parameters each family takes; the plain and rotated patches take L and L2.
+_FAMILY_PARAMS = {"torus": ("L",), **{f: ("h", "h2", "t") for f in _HOLE_FAMILIES}}
+
 
 @dataclass(frozen=True)
 class ArchSpec:
@@ -86,14 +89,20 @@ class ArchSpec:
 
         Raises:
             OutOfDomainError: on an unknown family, a set parameter that is
-                not exactly an ``int`` (a bool is not), or one out of range.
+                not exactly an ``int`` (a bool is not), one out of range, or
+                one the family does not take.
         """
         if type(self.family) is not str or self.family not in FAMILIES:
             raise OutOfDomainError(f"unknown family {self.family!r}")
+        takes = _FAMILY_PARAMS.get(self.family, ("L", "L2"))
         for name in ("h", "h2", "t", "L", "L2"):
             value = getattr(self, name)
-            if value is not None and type(value) is not int:
+            if value is None:
+                continue
+            if type(value) is not int:
                 raise OutOfDomainError(f"{name} must be an integer, got {value!r}")
+            if name not in takes:
+                raise OutOfDomainError(f"{self.family} does not take {name}")
         if self.family in _HOLE_FAMILIES:
             h, t = self.h, self.t
             h2 = self.h2 if self.h2 is not None else h
@@ -101,7 +110,7 @@ class ArchSpec:
                 raise OutOfDomainError(f"{self.family} needs h and t")
             if h < 1 or h2 < 1 or t < 1:
                 raise OutOfDomainError("h, h2, t must all be >= 1")
-            return replace(self, h=h, h2=h2, t=t, L=None, L2=None)
+            return replace(self, h2=h2)
         if self.family == "torus":
             if self.L is None:
                 raise OutOfDomainError("torus needs L")
@@ -109,14 +118,14 @@ class ArchSpec:
                 raise OutOfDomainError(
                     "torus needs L >= 3: smaller periods create parallel edges"
                 )
-            return replace(self, h=None, h2=None, t=None, L=self.L, L2=None)
+            return self
         L = self.L
         L2 = self.L2 if self.L2 is not None else L
         if L is None:
             raise OutOfDomainError(f"{self.family} needs L")
         if L < 1 or L2 < 1:
             raise OutOfDomainError("L, L2 must be >= 1")
-        return replace(self, h=None, h2=None, t=None, L=L, L2=L2)
+        return replace(self, L2=L2)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +167,7 @@ def gen_plain_square(L: int, L2: int) -> Surface:
     if L < 1 or L2 < 1:
         raise OutOfDomainError("L, L2 must be >= 1")
     edges, faces, coords = _plain_cells(L, L2)
-    return _punch(len(coords), edges, faces, coords)
+    return _punch(edges, faces, coords)
 
 
 def gen_torus(L: int) -> Surface:
@@ -187,7 +196,7 @@ def gen_torus(L: int) -> Surface:
         for j in range(L)
     }
     coords = [(float(j), float(i)) for i in range(L) for j in range(L)]
-    return _punch(len(coords), edges, faces, coords)
+    return _punch(edges, faces, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +243,7 @@ def gen_rotated_square(L: int, L2: int) -> Surface:
     if L < 1 or L2 < 1:
         raise OutOfDomainError("L, L2 must be >= 1")
     _, edges, faces, coords = _rotated_cells(L, L2)
-    return _punch(len(coords), edges, faces, coords)
+    return _punch(edges, faces, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +251,6 @@ def gen_rotated_square(L: int, L2: int) -> Surface:
 
 
 def _punch(
-    vertex_count: int,
     edges: list[tuple[int, int]],
     faces: dict,
     coords: list[tuple[float, float]],
@@ -308,7 +316,7 @@ def gen_square_hole(h: int, h2: int, t: int) -> Surface:
         for i in range(ai, ai + t)
         for j in range(bj, bj + t)
     }
-    return _punch(len(coords), edges, faces, coords, dropped)
+    return _punch(edges, faces, coords, dropped)
 
 
 def diamond_hole_lattice_size(h: int, t: int) -> int:
@@ -333,7 +341,7 @@ def gen_diamond_hole(h: int, h2: int, t: int) -> Surface:
         for bj in _grid(h2, 10 * t - 4, 9 * t - 4)
         for face in _ball(ai, bj, t)
     }
-    return _punch(len(coords), edges, faces, coords, dropped)
+    return _punch(edges, faces, coords, dropped)
 
 
 def mixed_diamond_pitch(t: int) -> int:
@@ -412,7 +420,7 @@ def gen_mixed_diamond_hole(h: int, h2: int, t: int) -> Surface:
                         f"hole ({a},{b}) side has {len(side)} edges, expected {2 * t}"
                     )
                 open_ids.update(ei for _, ei in side[trim : len(side) - trim])
-    return _punch(len(coords), edges, faces, coords, dropped, open_ids)
+    return _punch(edges, faces, coords, dropped, open_ids)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from pathlib import Path
 from .arch import FAMILIES, ArchSpec, compare_table, generate, reports_to_csv
 from .code import (
     DistanceResult,
-    _permute_bits,
+    _bruteforce,
     distance_bruteforce_oracle,
     distance_x,
     distance_z,
@@ -30,7 +30,7 @@ from .code import (
 from .dual import dualize
 from .errors import HomolatticeError
 from .homology import boundary_maps
-from .surface import STRICT_ALL, load_surface, save_surface, validate
+from .surface import STRICT_ALL, load_surface, require_valid, save_surface, validate
 from .svg import render_svg
 
 __all__ = ["main", "entry"]
@@ -122,24 +122,21 @@ def _cmd_distance(args: argparse.Namespace) -> int:
         )
         raise SystemExit(2)
     cx = boundary_maps(load_surface(args.input))
-    back = None  # dual-to-primal qubit permutation for a capped X search
     if args.wmax is None:
         compute = distance_z if args.side == "z" else distance_x
         res = compute(cx, args.method)
     elif args.side == "z":
         res = distance_bruteforce_oracle(cx, args.wmax)
     else:
-        dcx, _, back = cx.dual
-        res = distance_bruteforce_oracle(dcx, args.wmax)
+        # the X side is the transposed complex, as in distance_x
+        require_valid(cx.surface, STRICT_ALL)
+        res = _bruteforce(cx.d2.transpose(), cx.d1, args.wmax, "dual")
     if not isinstance(res, DistanceResult):
         print(f"exhausted: no non-trivial cycle of weight <= {res.w_max}")
         return 0
-    witness = res.witness
-    if back is not None:
-        witness = _permute_bits(witness.bits, back, witness.length)
     print(f"d_{args.side}={res.d}")
     print(f"method={res.method}")
-    print(f"witness_edges={json.dumps(cx.chain_edges(witness))}")
+    print(f"witness_edges={json.dumps(cx.chain_edges(res.witness))}")
     return 0
 
 

@@ -5,16 +5,20 @@ Qubits sit on the non-open edges.  X stabilizers are the non-open vertex
 stars, Z stabilizers the non-open parts of face boundaries; commutation is
 the statement d1 @ d2 = 0.  The logical count is dim H1 of the relative
 complex; Z distances are minimum weights of non-trivial relative cycles of
-the surface and X distances the same on its dual.
+the surface and X distances the same on its dual, taken on the transposed
+complex (d2^T, d1) rather than on a dual surface.
 
 Every public function accepts a surface or its ``boundary_maps`` complex,
-which validates, counts and dualizes the surface once for all calls.
+which validates and counts the surface once for all calls (and dualizes it
+once, for the two basis extractors that need the dual).
 
 The exact distance method picks functionals u_1..u_m (a basis of ker d2^T
 modulo the row space of d1, m = dim H1) that vanish on trivial cycles and
 gives every qubit edge the signature (u_i at e)_i in F2^m; a relative cycle
 is non-trivial exactly when its summed signature is non-zero.  Open vertices
-are merged into one terminal, so open-to-open paths become closed walks.  A
+are merged into one terminal, so open-to-open paths become closed walks (on
+the X side the faces are the nodes and closed-boundary edges reach the
+terminal).  A
 breadth-first tree from each root, carrying path signatures, turns every
 non-tree edge into a fundamental cycle; the lightest one with non-zero
 signature is the distance, and its edge set is a certified witness.  The
@@ -34,6 +38,7 @@ from .errors import (
     UnsupportedTopologyError,
 )
 from .f2 import (
+    BinaryMatrix,
     BitVector,
     DegeneratePairingError,
     _echelon,
@@ -44,7 +49,7 @@ from .f2 import (
     symplectic_pairing,
 )
 from .homology import ChainComplex, _complex, h1_dim
-from .surface import Surface, _edge_faces
+from .surface import STRICT_ALL, Surface, _edge_faces, require_valid
 
 __all__ = [
     "CssCode",
@@ -178,63 +183,69 @@ def k_mixed(g: int, orientable: bool, b: int, m: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Homology functionals and representatives.
+# Homology quotients.
 
 
-def _homology_functionals(cx: ChainComplex) -> list[int]:
-    """Bitmasks u_1..u_m over qubit positions: a basis of ker(d2^T) modulo
-    the row space of d1.  Every u_i vanishes on trivial cycles, and together
-    they separate all dim-H1 homology classes."""
-    pivots = _echelon(cx.d1.row_bits)
+def _quotient_basis(kernel_of: BinaryMatrix, modulo: BinaryMatrix) -> list[int]:
+    """Bitmasks over the columns: a basis of ker(``kernel_of``) modulo the
+    row space of ``modulo``, each reduced against the echelon of ``modulo``.
+
+    With ``(d1, d2^T)`` in either order this is the homology quotient one
+    way and the cohomology quotient the other; both have dim H1 elements.
+    """
+    pivots = _echelon(modulo.row_bits)
     start = len(pivots)
-    _echelon((u.bits for u in kernel_basis(cx.d2.transpose())), pivots)
-    out = list(pivots.values())[start:]
-    if len(out) != cx.h1:
-        raise ModelingError(
-            f"functional basis has {len(out)} elements, expected {cx.h1}"
-        )
-    return out
-
-
-def _homology_representatives(cx: ChainComplex) -> list[BitVector]:
-    """Independent non-trivial relative cycles, one per homology class:
-    kernel basis of d1 reduced modulo the column span of d2."""
-    pivots = _echelon(cx.d2.transpose().row_bits)
-    start = len(pivots)
-    _echelon((z.bits for z in kernel_basis(cx.d1)), pivots)
-    return [BitVector(cx.d1.cols, r) for r in list(pivots.values())[start:]]
+    _echelon((u.bits for u in kernel_basis(kernel_of)), pivots)
+    return list(pivots.values())[start:]
 
 
 # ---------------------------------------------------------------------------
-# Distance.
+# Distance.  A side is a pair of maps ``(a, b)`` over the qubits: ``a``'s
+# columns are the qubits and its rows the cells whose incidence makes a
+# relative cycle (a w = 0); ``b``'s rows are the opposite stabilizers, whose
+# span is the trivial cycles (a b^T = 0).  The Z side is (d1, d2^T) on the
+# surface.  The X side is (d2^T, d1): up to cell order these are the dual's
+# d1 and d2^T, since dual vertices are the faces and dual faces the non-open
+# vertices, so the dual surface itself is never built.
 
 
-def _certify_witness(cx: ChainComplex, witness: BitVector, d: int, side: str) -> None:
+def _sides(cx: ChainComplex, side: str) -> tuple[BinaryMatrix, BinaryMatrix]:
+    d2t = cx.d2.transpose()
+    return (cx.d1, d2t) if side == "primal" else (d2t, cx.d1)
+
+
+def _certify_witness(
+    a: BinaryMatrix, b: BinaryMatrix, witness: BitVector, d: int, side: str
+) -> None:
     if witness.weight != d:
         raise ModelingError(
             f"{side} witness weight {witness.weight} does not match distance {d}"
         )
-    if cx.d1.matvec(witness):
+    if a.matvec(witness):
         raise ModelingError(f"{side} witness is not a relative cycle")
-    if in_span(cx.d2.transpose(), witness):
+    if in_span(b, witness):
         raise ModelingError(f"{side} witness is homologically trivial")
 
 
-def _exact_min_cycle(cx: ChainComplex) -> tuple[int, BitVector]:
-    """Minimum weight and witness over non-trivial relative cycles of the
-    surface of ``cx``.
+def _exact_min_cycle(a: BinaryMatrix, b: BinaryMatrix, h1: int) -> tuple[int, BitVector]:
+    """Minimum weight and witness over the non-trivial relative cycles of the
+    side ``(a, b)``.
 
-    The search graph has one node per non-open vertex plus one terminal
-    standing for every open vertex; each qubit edge keeps its signature, so a
-    relative cycle of ``s`` is an even-degree edge set of this graph and it is
-    non-trivial exactly when its signature is non-zero.  Roots are visited
-    terminal first, then in node order.  From each root a BFS records depth,
-    parent edge and path signature; every non-tree edge (a, b) it meets whose
-    fundamental cycle ``psig[a] ^ sig ^ psig[b]`` is non-zero is a candidate of
-    weight ``dist[a] + dist[b] + 1`` (edges with both ends open are loops at
-    the terminal).  A root stops expanding once ``2 * depth + 1`` reaches the
-    best weight, and is then removed from the graph.  The cost is polynomial
-    and does not depend on dim H1.
+    The search graph has one node per row of ``a`` plus one terminal; each
+    qubit (column of ``a``) is an edge between its at most two rows, a
+    missing end going to the terminal.  On the Z side the nodes are the
+    non-open vertices and the terminal stands for every open vertex; on the X
+    side the nodes are the faces and closed-boundary edges reach the
+    terminal.  Each qubit edge keeps its signature, so a relative cycle is an
+    even-degree edge set of this graph and it is non-trivial exactly when its
+    signature is non-zero.  Roots are visited terminal first, then in node
+    order.  From each root a BFS records depth, parent edge and path
+    signature; every non-tree edge (u, v) it meets whose fundamental cycle
+    ``psig[u] ^ sig ^ psig[v]`` is non-zero is a candidate of weight
+    ``dist[u] + dist[v] + 1`` (edges with both ends at the terminal are loops
+    there).  A root stops expanding once ``2 * depth + 1`` reaches the best
+    weight, and is then removed from the graph.  The cost is polynomial and
+    does not depend on dim H1.
 
     Why the smallest candidate is the distance: a minimum non-trivial
     relative cycle C is a simple cycle of the merged graph (an even-degree
@@ -249,11 +260,15 @@ def _exact_min_cycle(cx: ChainComplex) -> tuple[int, BitVector]:
     the smallest candidate weighs exactly |C|, and its XOR set (the two tree
     paths plus the edge) is a witness of that weight.
     """
-    funcs = _homology_functionals(cx)
+    funcs = _quotient_basis(b, a)
+    if len(funcs) != h1:
+        raise ModelingError(
+            f"functional basis has {len(funcs)} elements, expected {h1}"
+        )
     if not funcs:
         raise NoLogicalsError("surface encodes no logical qubits (dim H1 = 0)")
 
-    n = len(cx.interior_edges)
+    n = a.cols
     sigs = [0] * n
     for i, u in enumerate(funcs):
         bits = u
@@ -262,17 +277,14 @@ def _exact_min_cycle(cx: ChainComplex) -> tuple[int, BitVector]:
             sigs[low.bit_length() - 1] |= 1 << i
             bits ^= low
 
-    node_of_vertex: dict[int, int] = dict(cx.vertex_row)
-    terminal = len(cx.interior_vertices)
+    terminal = a.rows
     adj: list[list[tuple[int, int]]] = [[] for _ in range(terminal + 1)]
-    edges = cx.surface.edges
-    for pos, ei in enumerate(cx.interior_edges):
-        e = edges[ei]
-        a = node_of_vertex.get(e.u, terminal)
-        b = node_of_vertex.get(e.v, terminal)
-        adj[a].append((b, pos))
-        if b != a:
-            adj[b].append((a, pos))
+    for pos, ends in enumerate(a.transpose().row_bits):
+        u = (ends & -ends).bit_length() - 1 if ends else terminal
+        v = ends.bit_length() - 1 if ends & (ends - 1) else terminal
+        adj[u].append((v, pos))
+        if v != u:
+            adj[v].append((u, pos))
 
     best = n + 1
     best_bits = 0
@@ -292,20 +304,20 @@ def _exact_min_cycle(cx: ChainComplex) -> tuple[int, BitVector]:
         depth = 0
         while level and 2 * depth + 1 < best:
             nxt: list[int] = []
-            for a in level:
-                _, psig_a, _, tree_pos = tree[a]
-                for b, pos in adj[a]:
-                    if pos == tree_pos or removed[b]:
+            for u in level:
+                _, psig_u, _, tree_pos = tree[u]
+                for v, pos in adj[u]:
+                    if pos == tree_pos or removed[v]:
                         continue
-                    if b not in tree:
-                        tree[b] = (depth + 1, psig_a ^ sigs[pos], a, pos)
-                        nxt.append(b)
+                    if v not in tree:
+                        tree[v] = (depth + 1, psig_u ^ sigs[pos], u, pos)
+                        nxt.append(v)
                         continue
-                    depth_b, psig_b, _, tree_pos_b = tree[b]
-                    weight = depth + depth_b + 1
-                    if tree_pos_b != pos and weight < best and psig_a ^ sigs[pos] ^ psig_b:
+                    depth_v, psig_v, _, tree_pos_v = tree[v]
+                    weight = depth + depth_v + 1
+                    if tree_pos_v != pos and weight < best and psig_u ^ sigs[pos] ^ psig_v:
                         best = weight
-                        best_bits = path_bits(a) ^ path_bits(b) ^ (1 << pos)
+                        best_bits = path_bits(u) ^ path_bits(v) ^ (1 << pos)
             level = nxt
             depth += 1
         removed[root] = True
@@ -314,6 +326,29 @@ def _exact_min_cycle(cx: ChainComplex) -> tuple[int, BitVector]:
             "signature search found no non-trivial cycle despite dim H1 >= 1"
         )
     return best, BitVector(n, best_bits)
+
+
+def _bruteforce(
+    a: BinaryMatrix, b: BinaryMatrix, w_max: int, side: str
+) -> DistanceResult | Exhausted:
+    """Subset enumeration by increasing weight on the side ``(a, b)``."""
+    if w_max < 1:
+        raise OutOfDomainError(f"weight cap must be >= 1, got {w_max}")
+    n = a.cols
+    trivial = _echelon(b.row_bits)
+    columns = a.transpose().row_bits
+    for w in range(1, min(w_max, n) + 1):
+        for combo in itertools.combinations(range(n), w):
+            syndrome = 0
+            bits = 0
+            for pos in combo:
+                syndrome ^= columns[pos]
+                bits |= 1 << pos
+            if not syndrome and _reduce(bits, trivial):
+                return DistanceResult(
+                    d=w, witness=BitVector(n, bits), side=side, method="brute-force"
+                )
+    return Exhausted(w_max=min(w_max, n))
 
 
 def distance_bruteforce_oracle(
@@ -326,24 +361,25 @@ def distance_bruteforce_oracle(
     Raises:
         OutOfDomainError: if ``w_max`` < 1 (no cycle has weight below 1).
     """
-    if w_max < 1:
-        raise OutOfDomainError(f"weight cap must be >= 1, got {w_max}")
+    return _bruteforce(*_sides(_complex(s), "primal"), w_max, "primal")
+
+
+def _distance(s: Surface | ChainComplex, method: str, side: str) -> DistanceResult:
+    if method not in ("exact", "brute"):
+        raise OutOfDomainError(f"unknown distance method {method!r}")
     cx = _complex(s)
-    n = len(cx.interior_edges)
-    trivial = _echelon(cx.d2.transpose().row_bits)
-    columns = [cx.d1.column(j).bits for j in range(n)]
-    for w in range(1, min(w_max, n) + 1):
-        for combo in itertools.combinations(range(n), w):
-            syndrome = 0
-            bits = 0
-            for pos in combo:
-                syndrome ^= columns[pos]
-                bits |= 1 << pos
-            if not syndrome and _reduce(bits, trivial):
-                return DistanceResult(
-                    d=w, witness=BitVector(n, bits), side="primal", method="brute-force"
-                )
-    return Exhausted(w_max=min(w_max, n))
+    a, b = _sides(cx, side)
+    if method == "brute":
+        if cx.h1 == 0:
+            raise NoLogicalsError("surface encodes no logical qubits (dim H1 = 0)")
+        res = _bruteforce(a, b, a.cols, side)
+        if isinstance(res, Exhausted):  # unreachable with dim H1 >= 1
+            raise ModelingError("uncapped brute force exhausted with dim H1 >= 1")
+    else:
+        d, witness = _exact_min_cycle(a, b, cx.h1)
+        res = DistanceResult(d=d, witness=witness, side=side, method="exact-search")
+    _certify_witness(a, b, res.witness, res.d, side)
+    return res
 
 
 def distance_z(s: Surface | ChainComplex, method: str = "exact") -> DistanceResult:
@@ -358,20 +394,22 @@ def distance_z(s: Surface | ChainComplex, method: str = "exact") -> DistanceResu
         OutOfDomainError: if ``method`` is neither ``"exact"`` nor ``"brute"``.
         NoLogicalsError: if dim H1 = 0.
     """
-    if method not in ("exact", "brute"):
-        raise OutOfDomainError(f"unknown distance method {method!r}")
+    return _distance(s, method, "primal")
+
+
+def distance_x(s: Surface | ChainComplex, method: str = "exact") -> DistanceResult:
+    """Minimum weight of a non-trivial relative cycle of the dual of ``s``
+    (X distance), expressed in the qubit coordinates of ``s``.
+
+    The search runs on the transposed complex (d2^T, d1), which is the
+    dual's (d1, d2^T) up to cell order, so no dual surface is built.
+
+    Requires ``s`` to be strictly valid (dualizable); otherwise as
+    :func:`distance_z`.
+    """
     cx = _complex(s)
-    if method == "brute":
-        if h1_dim(cx) == 0:
-            raise NoLogicalsError("surface encodes no logical qubits (dim H1 = 0)")
-        res = distance_bruteforce_oracle(cx, len(cx.interior_edges))
-        if isinstance(res, Exhausted):  # unreachable with dim H1 >= 1
-            raise ModelingError("uncapped brute force exhausted with dim H1 >= 1")
-        _certify_witness(cx, res.witness, res.d, "primal")
-        return res
-    d, witness = _exact_min_cycle(cx)
-    _certify_witness(cx, witness, d, "primal")
-    return DistanceResult(d=d, witness=witness, side="primal", method="exact-search")
+    require_valid(cx.surface, STRICT_ALL)
+    return _distance(cx, method, "dual")
 
 
 def _permute_bits(bits_in: int, new_pos_of_old_pos: list[int], n: int) -> BitVector:
@@ -383,19 +421,6 @@ def _permute_bits(bits_in: int, new_pos_of_old_pos: list[int], n: int) -> BitVec
         bits |= 1 << new_pos_of_old_pos[low.bit_length() - 1]
         rest ^= low
     return BitVector(n, bits)
-
-
-def distance_x(s: Surface | ChainComplex, method: str = "exact") -> DistanceResult:
-    """Minimum weight of a non-trivial relative cycle of the dual of ``s``
-    (X distance), expressed in the qubit coordinates of ``s``.
-
-    Requires ``s`` to be strictly valid (dualizable); otherwise as
-    :func:`distance_z`.
-    """
-    dcx, _, back = _complex(s).dual
-    res = distance_z(dcx, method)
-    witness = _permute_bits(res.witness.bits, back, len(dcx.interior_edges))
-    return DistanceResult(d=res.d, witness=witness, side="dual", method=res.method)
 
 
 # ---------------------------------------------------------------------------
@@ -418,10 +443,10 @@ def logical_basis_generic(s: Surface | ChainComplex) -> LogicalBasis:
     k = h1_dim(cx)
     if k == 0:
         return LogicalBasis(pairs=())
-    z_ops = _homology_representatives(cx)
+    n = len(cx.interior_edges)
+    z_ops = [BitVector(n, z) for z in _quotient_basis(cx.d1, cx.d2.transpose())]
     x_ops = [
-        _permute_bits(x.bits, back, len(cx.interior_edges))
-        for x in _homology_representatives(dcx)
+        _permute_bits(x, back, n) for x in _quotient_basis(dcx.d1, dcx.d2.transpose())
     ]
     if len(z_ops) != k or len(x_ops) != k:
         raise ModelingError(
@@ -644,37 +669,29 @@ def logical_basis_boundary_strategy(s: Surface | ChainComplex) -> LogicalBasis:
 def verify_logical_basis(s: Surface | ChainComplex, basis: LogicalBasis) -> None:
     """Certify a LogicalBasis: counts, pairing, stabilizer commutation, and
     per-side homological non-triviality.  Raises ModelingError on any failure.
+
+    Commutation is the cycle condition: a Z logical commutes with the X
+    stabilizers (rows of d1) iff d1 z = 0, and an X logical with the Z
+    stabilizers (rows of d2^T) iff d2^T x = 0, the dual's cycle condition.
     """
     cx = _complex(s)
     k = h1_dim(cx)
     if basis.k != k:
         raise ModelingError(f"basis has {basis.k} pairs, dim H1 = {k}")
-    dcx, _, back = cx.dual
-    dual_pos_of_primal_pos = [0] * len(back)
-    for dpos, ppos in enumerate(back):
-        dual_pos_of_primal_pos[ppos] = dpos
-    trivial = _echelon(cx.d2.transpose().row_bits)
-    dual_trivial = _echelon(dcx.d2.transpose().row_bits)
+    d2t = cx.d2.transpose()
+    trivial = _echelon(d2t.row_bits)
+    dual_trivial = _echelon(cx.d1.row_bits)
     for i, (x, z) in enumerate(basis.pairs):
         if cx.d1.matvec(z):
             raise ModelingError(f"z logical {i} is not a relative cycle")
         if _reduce(z.bits, trivial) == 0:
             raise ModelingError(f"z logical {i} is homologically trivial")
-        x_dual = _permute_bits(x.bits, dual_pos_of_primal_pos, len(back))
-        if dcx.d1.matvec(x_dual):
+        if d2t.matvec(x):
             raise ModelingError(f"x logical {i} is not a relative cycle of the dual")
-        if _reduce(x_dual.bits, dual_trivial) == 0:
+        if _reduce(x.bits, dual_trivial) == 0:
             raise ModelingError(f"x logical {i} is homologically trivial on the dual")
         for j, (_, z2) in enumerate(basis.pairs):
             if x.dot(z2) != (1 if i == j else 0):
                 raise ModelingError(
                     f"pairing <x_{i}, z_{j}> = {x.dot(z2)}, expected {int(i == j)}"
                 )
-    code = build_css(cx)
-    for i, (x, z) in enumerate(basis.pairs):
-        for sv in code.z_stabilizers:
-            if x.dot(sv):
-                raise ModelingError(f"x logical {i} anticommutes with a Z stabilizer")
-        for sv in code.x_stabilizers:
-            if z.dot(sv):
-                raise ModelingError(f"z logical {i} anticommutes with an X stabilizer")

@@ -114,6 +114,12 @@ class ChainComplex:
         complex of :func:`dualize`'s already strictly valid output, and the
         qubit permutation induced by the non-open edge bijection.
 
+        Only the logical-basis extractors need it: ``logical_basis_generic``
+        takes its X representatives in the dual's qubit order, and
+        ``logical_basis_boundary_strategy`` walks dual paths through the
+        correspondence.  X distances and basis verification use the
+        transposed complex (d2^T, d1) instead.
+
         Raises:
             InvalidSurfaceError: if the surface is not strictly valid.
         """

@@ -265,7 +265,13 @@ def random_surface(rng: random.Random) -> Surface:
 def count_validations(monkeypatch) -> list:
     """Count calls to ``surface.validate`` through every package module
     attribute that holds it; returns the list the calls append to."""
-    original = homolattice.surface.validate
+    return count_calls(monkeypatch, homolattice.surface.validate)
+
+
+def count_calls(monkeypatch, original) -> list:
+    """Count calls to the package function ``original`` through every package
+    module attribute that holds it; returns the list the calls append to
+    (each call's first argument)."""
     calls: list = []
 
     def counting(*args, **kwargs):

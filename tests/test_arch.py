@@ -115,7 +115,7 @@ def edge_ball(adj, sources, radius):
 
 
 def test_resolved_fills_hole_defaults():
-    r = ArchSpec("square-hole", h=2, t=1, L=77).resolved()
+    r = ArchSpec("square-hole", h=2, t=1).resolved()
     assert r == ArchSpec("square-hole", h=2, h2=2, t=1, L=None, L2=None)
 
 
@@ -125,7 +125,7 @@ def test_resolved_keeps_explicit_h2():
 
 
 def test_resolved_torus_keeps_only_l():
-    r = ArchSpec("torus", L=4, h=9, t=2).resolved()
+    r = ArchSpec("torus", L=4).resolved()
     assert r == ArchSpec("torus", L=4)
 
 
@@ -168,6 +168,22 @@ def test_resolved_is_idempotent(spec):
 )
 def test_resolved_rejects_out_of_domain(spec):
     with pytest.raises(OutOfDomainError):
+        spec.resolved()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ArchSpec("square-hole", h=2, t=1, L=77),
+        ArchSpec("diamond-hole", h=1, t=1, L2=3),
+        ArchSpec("torus", L=4, h=9, t=2),
+        ArchSpec("torus", L=4, L2=5),
+        ArchSpec("plain-square", L=3, t=1),
+        ArchSpec("rotated-square", L=2, h=1),
+    ],
+)
+def test_resolved_rejects_parameters_the_family_does_not_take(spec):
+    with pytest.raises(OutOfDomainError, match="does not take"):
         spec.resolved()
 
 

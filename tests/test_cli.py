@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import homolattice
-from conftest import count_validations, square
+from conftest import count_calls, count_validations, square
 from homolattice import (
     ArchSpec,
     Edge,
@@ -74,6 +74,14 @@ def test_build_domain_error_exits_1(tmp_path, capsys):
     assert main(["build", "torus", "--L", "2", "-o", str(out)]) == 1
     cap = capsys.readouterr()
     assert "error:" in cap.err and "L >= 3" in cap.err
+    assert not out.exists()
+
+
+def test_build_inapplicable_parameter_exits_1(tmp_path, capsys):
+    out = tmp_path / "t.json"
+    assert main(["build", "torus", "--L", "3", "--h", "2", "-o", str(out)]) == 1
+    cap = capsys.readouterr()
+    assert "error:" in cap.err and "Traceback" not in cap.out + cap.err
     assert not out.exists()
 
 
@@ -424,6 +432,18 @@ def test_compare_mistyped_parameter_is_an_error_row(tmp_path, capsys, entry):
     assert "Traceback" not in out + err
 
 
+def test_compare_inapplicable_parameter_is_an_error_row(tmp_path, capsys):
+    spec_file = tmp_path / "specs.json"
+    entries = [{"family": "torus", "L": 3, "h": 2}, {"family": "torus", "L": 3}]
+    spec_file.write_text(json.dumps(entries), encoding="utf-8")
+    assert main(["compare", "--spec-file", str(spec_file)]) == 0
+    out, err = capsys.readouterr()
+    rows = list(csv.reader(io.StringIO(out)))
+    matches = [dict(zip(rows[0], row))["match"] for row in rows[1:]]
+    assert matches[0] == "error" and matches[1] != "error"
+    assert "Traceback" not in out + err
+
+
 def test_compare_missing_spec_file(tmp_path, capsys):
     assert main(["compare", "--spec-file", str(tmp_path / "none.json")]) == 1
     assert "error:" in capsys.readouterr().err
@@ -480,3 +500,25 @@ def test_each_surface_is_validated_once_per_analysis(tmp_path, capsys, monkeypat
     assert main(["analyze", str(path), "--distance", "exact"]) == 0
     assert len(calls) <= 3
     capsys.readouterr()
+
+
+def test_distance_paths_build_no_dual(tmp_path, capsys, monkeypatch):
+    # The X side runs on the transposed complex (d2^T, d1), so neither side's
+    # distance dualizes, and evaluate validates only in the generator, the
+    # complex and the X side's strict check.
+    spec = ArchSpec("mixed-diamond-hole", h=2, h2=2, t=2)
+    path = tmp_path / "s.json"
+    save_surface(generate(spec), path)
+    torus = _build(tmp_path, capsys, "t3.json", "torus", "--L", "3")
+    duals = count_calls(monkeypatch, homolattice.dual.dualize)
+    validations = count_validations(monkeypatch)
+    assert evaluate(spec, compute_distance=True).match
+    assert len(validations) <= 3
+    for argv, line in (
+        (["analyze", str(path), "--distance", "exact"], "d_x=4"),
+        (["distance", str(path), "--side", "x"], "d_x=4"),
+        (["distance", str(torus), "--side", "x", "--method", "brute", "--wmax", "3"], "d_x=3"),
+    ):
+        assert main(argv) == 0
+        assert line in capsys.readouterr().out.splitlines()
+    assert duals == []

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
 
 from conftest import CORPUS, CORPUS_IDS, STRICT_CORPUS, STRICT_CORPUS_IDS, random_surface, square
 from homolattice import (
+    ArchSpec,
     BinaryMatrix,
     BitVector,
     DistanceResult,
@@ -27,6 +30,7 @@ from homolattice import (
     distance_x,
     distance_z,
     dualize,
+    generate,
     h1_dim,
     h1_dim_oracle,
     in_span,
@@ -289,6 +293,44 @@ def test_bruteforce_oracle_rejects_cap_below_one(w_max):
 def test_exact_distance_of_many_logical_fixture():
     s = dict(CORPUS)["d4221"]  # dim H1 = 11
     assert distance_z(s).d == 3
+
+
+# The certify-ladder members of the benchmark (family, h, h2, t).
+_LADDER = (
+    ("square-hole", 2, 2, 2),
+    ("square-hole", 3, 2, 2),
+    ("diamond-hole", 2, 1, 2),
+    ("diamond-hole", 2, 2, 2),
+    ("mixed-diamond-hole", 2, 2, 1),
+    ("mixed-diamond-hole", 2, 2, 2),
+    ("mixed-diamond-hole", 2, 2, 3),
+    ("mixed-diamond-hole", 2, 2, 4),
+    ("mixed-diamond-hole", 2, 2, 5),
+    ("mixed-diamond-hole", 1, 5, 3),
+)
+
+
+def test_distances_and_witnesses_are_pinned():
+    # sha256 of every (member, side, method, d, witness support) below, as
+    # computed when the X side still ran the Z search on the dual surface;
+    # the transposed complex must find the same distances and witnesses.
+    members = list(STRICT_CORPUS) + [
+        ("-".join(map(str, m)), generate(ArchSpec(m[0], h=m[1], h2=m[2], t=m[3])))
+        for m in _LADDER
+    ]
+    rows = []
+    for name, s in members:
+        cx = boundary_maps(s)
+        if cx.h1 == 0:
+            continue
+        methods = ["exact"] + (["brute"] if len(cx.interior_edges) <= 14 else [])
+        for method in methods:
+            for side, distance in (("z", distance_z), ("x", distance_x)):
+                r = distance(cx, method)
+                rows.append([name, side, method, r.d, list(r.witness.support)])
+    assert len(rows) == 70
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "5399e8b92513359d9563c011f0e42eb119568c4ac784499d03c8e216d6425e8e"
 
 
 def test_exact_equals_brute_on_random_surfaces():

@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 
 import pytest
 
-from conftest import CORPUS, STRICT_CORPUS, STRICT_CORPUS_IDS, square
+from conftest import CORPUS, STRICT_CORPUS, STRICT_CORPUS_IDS, random_surface, square
 from homolattice import (
     STRICT_ALL,
     HomolatticeError,
     InvalidSurfaceError,
     ModelingError,
     Surface,
+    boundary_maps,
     check_correspondences,
     classify_boundary,
     dualize,
@@ -296,3 +298,55 @@ def test_check_correspondences_detects_tampering():
     other, _ = dualize(dict(CORPUS)["torus4"])
     report = check_correspondences(s, other, corr)
     assert not report.ok
+
+
+def _strict_random_draws(count: int) -> list[Surface]:
+    rng = random.Random(20261018)
+    out = []
+    while len(out) < count:
+        s = random_surface(rng)
+        if validate(s, STRICT_ALL).ok:
+            out.append(s)
+    return out
+
+
+@pytest.mark.parametrize(
+    "s",
+    [s for _, s in STRICT_CORPUS] + _strict_random_draws(50),
+    ids=STRICT_CORPUS_IDS + [f"random{i}" for i in range(50)],
+)
+def test_dual_complex_is_the_transposed_complex(s):
+    # Dual vertices are the faces and dual faces the non-open vertices, so
+    # through the correspondence the dual's d1 rows are the rows of d2^T and
+    # its d2^T rows are the rows of d1: the X side of the code is the Z side
+    # of the transposed complex (d2^T, d1).
+    d, corr = dualize(s)
+    cx, dcx = boundary_maps(s), boundary_maps(d)
+    primal_pos = {
+        dcx.edge_index[de]: cx.edge_index[e]
+        for e, de in corr.interior_edge_to_dual_edge.items()
+    }
+    assert sorted(primal_pos) == sorted(primal_pos.values()) == list(range(len(cx.interior_edges)))
+
+    def to_primal(bits: int) -> int:
+        return sum(1 << primal_pos[i] for i in range(bits.bit_length()) if bits >> i & 1)
+
+    d2t = cx.d2.transpose()
+    face_of = {dv: f for f, dv in corr.face_to_dual_vertex.items()}
+    assert sorted(face_of) == list(dcx.interior_vertices)
+    for row, dv in enumerate(dcx.interior_vertices):
+        assert to_primal(dcx.d1.row_bits[row]) == d2t.row_bits[face_of[dv]]
+
+    vertex_of = {
+        df: v
+        for mapping in (
+            corr.interior_vertex_to_dual_face,
+            corr.closed_boundary_vertex_to_dual_open_face,
+        )
+        for v, df in mapping.items()
+    }
+    assert sorted(vertex_of) == list(range(d.face_count))
+    assert sorted(vertex_of.values()) == list(cx.interior_vertices)
+    dd2t = dcx.d2.transpose()
+    for df, v in vertex_of.items():
+        assert to_primal(dd2t.row_bits[df]) == cx.d1.row_bits[cx.vertex_row[v]]
