@@ -12,17 +12,17 @@ Every public function accepts a surface or its ``boundary_maps`` complex,
 which validates and counts the surface once for all calls (and dualizes it
 once, for the two basis extractors that need the dual).
 
-The exact distance method picks functionals u_1..u_m (a basis of ker d2^T
-modulo the row space of d1, m = dim H1) that vanish on trivial cycles and
-gives every qubit edge the signature (u_i at e)_i in F2^m; a relative cycle
-is non-trivial exactly when its summed signature is non-zero.  Open vertices
-are merged into one terminal, so open-to-open paths become closed walks (on
-the X side the faces are the nodes and closed-boundary edges reach the
-terminal).  A
-breadth-first tree from each root, carrying path signatures, turns every
-non-tree edge into a fundamental cycle; the lightest one with non-zero
-signature is the distance, and its edge set is a certified witness.  The
-search is polynomial in the surface size, whatever m is.
+The exact distance method gives every qubit edge a signature in F2^m
+(m = dim H1) such that a relative cycle is non-trivial exactly when its
+summed signature is non-zero.  Open vertices are merged into one terminal,
+so open-to-open paths become closed walks (on the X side the faces are the
+nodes and closed-boundary edges reach the terminal).  The signatures come
+from a tree-cotree split of this graph and of the graph of the opposite
+stabilizers, in linear time and without an F2 elimination.  A breadth-first
+tree from each root, carrying path signatures, turns every non-tree edge
+into a fundamental cycle; the lightest one with non-zero signature is the
+distance, and its edge set is a certified witness.  The search is
+polynomial in the surface size, whatever m is.
 """
 
 from __future__ import annotations
@@ -139,10 +139,11 @@ def build_css(s: Surface | ChainComplex) -> CssCode:
 def logical_count(s: Surface | ChainComplex) -> int:
     """Number of logical qubits: dim H1, cross-checked against
     n - rank(X stabilizers) - rank(Z stabilizers), whose rows are those of d1
-    and d2^T."""
+    and d2^T.  rank(d1) is the complex's cached one; d2^T is eliminated here,
+    so the check stays independent of the rank of d2 behind ``h1``."""
     cx = _complex(s)
     k = h1_dim(cx)
-    oracle = len(cx.interior_edges) - rank(cx.d1) - rank(cx.d2.transpose())
+    oracle = len(cx.interior_edges) - cx._rank_d1 - rank(cx.d2.transpose())
     if k != oracle:
         raise ModelingError(
             f"h1 dimension ({k}) disagrees with stabilizer rank count ({oracle})"
@@ -227,25 +228,111 @@ def _certify_witness(
         raise ModelingError(f"{side} witness is homologically trivial")
 
 
+def _graph(m: BinaryMatrix) -> list[list[tuple[int, int]]]:
+    """Adjacency lists ``[(neighbour, column)]`` of the graph with one node
+    per row of ``m`` plus a terminal (node ``m.rows``); each column is an
+    edge between its at most two rows, a missing end going to the terminal
+    (a column with no row is a loop there)."""
+    terminal = m.rows
+    rows_of: list[list[int]] = [[] for _ in range(m.cols)]
+    for row, bits in enumerate(m.row_bits):
+        while bits:
+            low = bits & -bits
+            rows_of[low.bit_length() - 1].append(row)
+            bits ^= low
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(terminal + 1)]
+    for pos, rows in enumerate(rows_of):
+        u = rows[0] if rows else terminal
+        v = rows[-1] if len(rows) > 1 else terminal
+        adj[u].append((v, pos))
+        if v != u:
+            adj[v].append((u, pos))
+    return adj
+
+
+def _bfs_forest(
+    adj: list[list[tuple[int, int]]], used: list[bool]
+) -> tuple[list[int], list[int]]:
+    """Breadth-first spanning forest over the edges not yet ``used``, rooted
+    at the terminal first and then at nodes in order; its edges are marked
+    used.  Returns ``(visiting order, parent edge of each node or -1)``."""
+    terminal = len(adj) - 1
+    parent_pos = [-1] * len(adj)
+    seen = [False] * len(adj)
+    order: list[int] = []
+    for root in (terminal, *range(terminal)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        head = len(order)
+        order.append(root)
+        while head < len(order):
+            u = order[head]
+            head += 1
+            for v, pos in adj[u]:
+                if not seen[v] and not used[pos]:
+                    seen[v] = True
+                    used[pos] = True
+                    parent_pos[v] = pos
+                    order.append(v)
+    return order, parent_pos
+
+
+def _signatures(
+    adj_a: list[list[tuple[int, int]]], adj_b: list[list[tuple[int, int]]], n: int
+) -> tuple[list[int], int]:
+    """Homology signatures of the ``n`` qubits of the side ``(a, b)`` from a
+    tree-cotree split of the graphs of ``a`` and ``b`` (Eppstein, SODA 2003;
+    Erickson & Whittlesey, SODA 2005); returns ``(signatures, m)``.
+
+    T is a spanning forest of the graph of ``a`` and C one of the graph of
+    ``b`` on the edges outside T.  Each of the m leftover edges gets a unit
+    signature and T edges get 0.  Walking C leaves first, each cotree edge
+    takes the XOR of the rest of its child's row of ``b``, so every non-root
+    row of ``b`` sums to 0; a root row does too, since only T edges leave
+    its component.  The signatures are thus m functionals on the cycles that
+    vanish on the rows of ``b``, and they are independent modulo the rows of
+    ``a`` (those vanish on T and the leftover edges are units).  When m is
+    dim H1 a relative cycle is trivial exactly when its signature is 0.
+    """
+    used = [False] * n
+    _bfs_forest(adj_a, used)
+    order, cotree_pos = _bfs_forest(adj_b, used)
+    sigs = [0] * n
+    m = 0
+    for pos in range(n):
+        if not used[pos]:
+            sigs[pos] = 1 << m
+            m += 1
+    for node in reversed(order):
+        up = cotree_pos[node]
+        if up >= 0:
+            sig = 0
+            for _, pos in adj_b[node]:
+                if pos != up:
+                    sig ^= sigs[pos]
+            sigs[up] = sig
+    return sigs, m
+
+
 def _exact_min_cycle(a: BinaryMatrix, b: BinaryMatrix, h1: int) -> tuple[int, BitVector]:
     """Minimum weight and witness over the non-trivial relative cycles of the
     side ``(a, b)``.
 
-    The search graph has one node per row of ``a`` plus one terminal; each
-    qubit (column of ``a``) is an edge between its at most two rows, a
-    missing end going to the terminal.  On the Z side the nodes are the
-    non-open vertices and the terminal stands for every open vertex; on the X
-    side the nodes are the faces and closed-boundary edges reach the
-    terminal.  Each qubit edge keeps its signature, so a relative cycle is an
-    even-degree edge set of this graph and it is non-trivial exactly when its
-    signature is non-zero.  Roots are visited terminal first, then in node
-    order.  From each root a BFS records depth, parent edge and path
-    signature; every non-tree edge (u, v) it meets whose fundamental cycle
-    ``psig[u] ^ sig ^ psig[v]`` is non-zero is a candidate of weight
-    ``dist[u] + dist[v] + 1`` (edges with both ends at the terminal are loops
-    there).  A root stops expanding once ``2 * depth + 1`` reaches the best
-    weight, and is then removed from the graph.  The cost is polynomial and
-    does not depend on dim H1.
+    The search graph is :func:`_graph` of ``a``: one node per row of ``a``
+    plus one terminal, and one edge per qubit.  On the Z side the nodes are
+    the non-open vertices and the terminal stands for every open vertex; on
+    the X side the nodes are the faces and closed-boundary edges reach the
+    terminal.  Each qubit edge keeps its tree-cotree signature
+    (:func:`_signatures`), so a relative cycle is an even-degree edge set of
+    this graph and it is non-trivial exactly when its signature is non-zero.
+    Roots are visited terminal first, then in node order.  From each root a
+    BFS records depth, parent edge and path signature; every non-tree edge
+    (u, v) it meets whose fundamental cycle ``psig[u] ^ sig ^ psig[v]`` is
+    non-zero is a candidate of weight ``depth[u] + depth[v] + 1`` (edges with
+    both ends at the terminal are loops there).  A root stops expanding once
+    ``2 * depth + 1`` reaches the best weight, and is then removed from the
+    graph.  The cost is polynomial and does not depend on dim H1.
 
     Why the smallest candidate is the distance: a minimum non-trivial
     relative cycle C is a simple cycle of the merged graph (an even-degree
@@ -260,67 +347,63 @@ def _exact_min_cycle(a: BinaryMatrix, b: BinaryMatrix, h1: int) -> tuple[int, Bi
     the smallest candidate weighs exactly |C|, and its XOR set (the two tree
     paths plus the edge) is a witness of that weight.
     """
-    funcs = _quotient_basis(b, a)
-    if len(funcs) != h1:
-        raise ModelingError(
-            f"functional basis has {len(funcs)} elements, expected {h1}"
-        )
-    if not funcs:
+    n = a.cols
+    adj = _graph(a)
+    sigs, m = _signatures(adj, _graph(b), n)
+    if m != h1:
+        raise ModelingError(f"tree-cotree split leaves {m} edges, expected {h1}")
+    if not m:
         raise NoLogicalsError("surface encodes no logical qubits (dim H1 = 0)")
 
-    n = a.cols
-    sigs = [0] * n
-    for i, u in enumerate(funcs):
-        bits = u
-        while bits:
-            low = bits & -bits
-            sigs[low.bit_length() - 1] |= 1 << i
-            bits ^= low
-
-    terminal = a.rows
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(terminal + 1)]
-    for pos, ends in enumerate(a.transpose().row_bits):
-        u = (ends & -ends).bit_length() - 1 if ends else terminal
-        v = ends.bit_length() - 1 if ends & (ends - 1) else terminal
-        adj[u].append((v, pos))
-        if v != u:
-            adj[v].append((u, pos))
-
+    nodes = len(adj)
+    # Per-root BFS state; stamp[v] == root marks v as reached from this root,
+    # and a removed root keeps the stamp -2.
+    stamp = [-1] * nodes
+    depth = [0] * nodes
+    psig = [0] * nodes
+    parent = [0] * nodes
+    parent_pos = [0] * nodes
     best = n + 1
     best_bits = 0
-    removed = [False] * (terminal + 1)
-    for root in (terminal, *range(terminal)):
-        # node -> (depth, path signature, parent node, parent edge position)
-        tree: dict[int, tuple[int, int, int, int]] = {root: (0, 0, -1, -1)}
+    for root in (nodes - 1, *range(nodes - 1)):
 
         def path_bits(node: int) -> int:
             bits = 0
             while node != root:
-                _, _, node, pos = tree[node]
-                bits ^= 1 << pos
+                bits ^= 1 << parent_pos[node]
+                node = parent[node]
             return bits
 
+        stamp[root] = root
+        depth[root] = psig[root] = 0
+        parent_pos[root] = -1
         level = [root]
-        depth = 0
-        while level and 2 * depth + 1 < best:
+        d = 0
+        while level and 2 * d + 1 < best:
             nxt: list[int] = []
             for u in level:
-                _, psig_u, _, tree_pos = tree[u]
+                psig_u = psig[u]
+                tree_pos = parent_pos[u]
                 for v, pos in adj[u]:
-                    if pos == tree_pos or removed[v]:
+                    if pos == tree_pos:
                         continue
-                    if v not in tree:
-                        tree[v] = (depth + 1, psig_u ^ sigs[pos], u, pos)
-                        nxt.append(v)
+                    mark = stamp[v]
+                    if mark != root:
+                        if mark != -2:
+                            stamp[v] = root
+                            depth[v] = d + 1
+                            psig[v] = psig_u ^ sigs[pos]
+                            parent[v] = u
+                            parent_pos[v] = pos
+                            nxt.append(v)
                         continue
-                    depth_v, psig_v, _, tree_pos_v = tree[v]
-                    weight = depth + depth_v + 1
-                    if tree_pos_v != pos and weight < best and psig_u ^ sigs[pos] ^ psig_v:
+                    weight = d + depth[v] + 1
+                    if parent_pos[v] != pos and weight < best and psig_u ^ sigs[pos] ^ psig[v]:
                         best = weight
                         best_bits = path_bits(u) ^ path_bits(v) ^ (1 << pos)
             level = nxt
-            depth += 1
-        removed[root] = True
+            d += 1
+        stamp[root] = -2
     if not best_bits:
         raise ModelingError(
             "signature search found no non-trivial cycle despite dim H1 >= 1"

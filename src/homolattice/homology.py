@@ -53,7 +53,8 @@ class ChainComplex:
     ``interior_vertices`` / ``interior_edges`` are the ascending non-open cell
     indices; position in these tuples is the row/column in ``d1`` and the row
     in ``d2``.  ``d2`` columns are indexed by face number directly.
-    ``surface`` is the validated source; ``h1`` and ``dual`` are cached.
+    ``surface`` is the validated source; ``h1``, ``dual`` and rank(d1) are
+    cached.
     """
 
     d2: BinaryMatrix
@@ -83,6 +84,12 @@ class ChainComplex:
         return tuple(self.interior_edges[i] for i in z.support)
 
     @cached_property
+    def _rank_d1(self) -> int:
+        """rank(d1), shared by the cross-checks of ``h1`` and
+        ``logical_count``."""
+        return rank(self.d1)
+
+    @cached_property
     def h1(self) -> int:
         """dim H1 by the counting formula
 
@@ -101,7 +108,7 @@ class ChainComplex:
             + _kappa_no_open_vertex(s, cls)
             + _kappa_no_closed_boundary_edge(s, cls)
         )
-        oracle = (self.d1.cols - rank(self.d1)) - rank(self.d2)
+        oracle = (self.d1.cols - self._rank_d1) - rank(self.d2)
         if formula != oracle:
             raise ModelingError(
                 f"h1 formula ({formula}) disagrees with rank computation ({oracle})"

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InvalidSurfaceError, OutOfDomainError
 
@@ -83,7 +84,9 @@ class Surface:
     """Immutable cellulation: ``vertex_count``, ``edges``, ``faces``, optional coords.
 
     Faces reference edges by index.  ``coords`` (one (x, y) pair per vertex) is
-    carried for rendering only and never affects any computation.
+    carried for rendering only and never affects any computation.  The
+    strict validation report is computed once per object and cached; it is
+    not a field, so equality, hashing and ``dataclasses.replace`` ignore it.
     """
 
     vertex_count: int
@@ -114,6 +117,10 @@ class Surface:
     @property
     def face_count(self) -> int:
         return len(self.faces)
+
+    @cached_property
+    def _report(self) -> ValidationReport:
+        return _check(self)
 
 
 @dataclass(frozen=True)
@@ -243,6 +250,9 @@ def _face_cycle_order(s: Surface, face: tuple[int, ...]) -> tuple[int, ...] | No
     return tuple(order)
 
 
+_DISTANCE_ONE_CODE = "distance-one-edge"
+
+
 def validate(s: Surface, strict: frozenset[str] | set[str] = frozenset()) -> ValidationReport:
     """Check all cellulation axioms; returns a report (empty means valid).
 
@@ -251,12 +261,28 @@ def validate(s: Surface, strict: frozenset[str] | set[str] = frozenset()) -> Val
     parallel edges).  The base tier already reports every loop and duplicate
     edge, and stops there, so ``girth3`` never adds a violation of its own.
 
+    The checks run once per ``Surface`` object, with every strict flag; later
+    calls read that cached report and drop the ``distance-one-edge``
+    violations unless ``"no-distance-one"`` is asked for.
+
     Raises:
         OutOfDomainError: if ``strict`` names an unknown flag.
     """
     unknown = set(strict) - STRICT_ALL
     if unknown:
         raise OutOfDomainError(f"unknown strict flags: {sorted(unknown)}")
+    report = s._report
+    if report.ok or NO_DISTANCE_ONE in strict:
+        return report
+    return ValidationReport(
+        tuple(v for v in report.violations if v.code != _DISTANCE_ONE_CODE)
+    )
+
+
+def _check(s: Surface) -> ValidationReport:
+    """The full report under ``STRICT_ALL``.  The distance-one check runs
+    last and only after every base check passed, so dropping its violations
+    gives the base report."""
     out: list[Violation] = []
 
     if s.vertex_count < 0:
@@ -394,20 +420,19 @@ def validate(s: Surface, strict: frozenset[str] | set[str] = frozenset()) -> Val
                 )
             )
 
-    if NO_DISTANCE_ONE in strict:
-        open_vertex = [False] * s.vertex_count
-        for e in s.edges:
-            if e.open:
-                open_vertex[e.u] = open_vertex[e.v] = True
-        for ei, e in enumerate(s.edges):
-            if not e.open and open_vertex[e.u] and open_vertex[e.v]:
-                out.append(
-                    Violation(
-                        "distance-one-edge",
-                        (ei,),
-                        f"non-open edge {ei} has two open endpoints",
-                    )
+    open_vertex = [False] * s.vertex_count
+    for e in s.edges:
+        if e.open:
+            open_vertex[e.u] = open_vertex[e.v] = True
+    for ei, e in enumerate(s.edges):
+        if not e.open and open_vertex[e.u] and open_vertex[e.v]:
+            out.append(
+                Violation(
+                    _DISTANCE_ONE_CODE,
+                    (ei,),
+                    f"non-open edge {ei} has two open endpoints",
                 )
+            )
 
     return ValidationReport(tuple(out))
 

@@ -522,3 +522,12 @@ def test_distance_paths_build_no_dual(tmp_path, capsys, monkeypatch):
         assert main(argv) == 0
         assert line in capsys.readouterr().out.splitlines()
     assert duals == []
+
+
+def test_evaluate_runs_the_validation_body_once(monkeypatch):
+    # The generator, the complex and the X side's strict check all ask about
+    # the same Surface object; the checks themselves run only for the first.
+    bodies = count_calls(monkeypatch, homolattice.surface._check)
+    spec = ArchSpec("mixed-diamond-hole", h=2, h2=2, t=2)
+    assert evaluate(spec, compute_distance=True).match
+    assert len(bodies) == 1

@@ -40,10 +40,12 @@ from homolattice import (
     k_uniform,
     logical_basis_boundary_strategy,
     logical_basis_generic,
+    kernel_basis,
     logical_count,
     validate,
     verify_logical_basis,
 )
+from homolattice.code import _graph, _sides, _signatures
 
 # ---------------------------------------------------------------------------
 # stabilizer extraction
@@ -331,6 +333,41 @@ def test_distances_and_witnesses_are_pinned():
     assert len(rows) == 70
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert digest == "5399e8b92513359d9563c011f0e42eb119568c4ac784499d03c8e216d6425e8e"
+
+
+def _signature_of(bits: int, sigs: list[int]) -> int:
+    out = 0
+    while bits:
+        low = bits & -bits
+        out ^= sigs[low.bit_length() - 1]
+        bits ^= low
+    return out
+
+
+def test_tree_cotree_signatures_match_an_elimination():
+    # On both sides: m = dim H1 leftover edges, every row of b sums to a zero
+    # signature, and a cycle's signature is zero exactly when the cycle is
+    # in the row space of b, which in_span decides by elimination.
+    rng = random.Random(20261018)
+    surfaces = [s for _, s in STRICT_CORPUS] + [random_surface(rng) for _ in range(50)]
+    outcomes = set()
+    for s in surfaces:
+        cx = boundary_maps(s)
+        for side in ("primal", "dual"):
+            a, b = _sides(cx, side)
+            sigs, m = _signatures(_graph(a), _graph(b), a.cols)
+            assert m == cx.h1
+            assert all(_signature_of(row, sigs) == 0 for row in b.row_bits)
+            cycles = kernel_basis(a)
+            for _ in range(20):
+                z = 0
+                for c in cycles:
+                    if rng.random() < 0.5:
+                        z ^= c.bits
+                trivial = in_span(b, BitVector(a.cols, z))
+                assert (_signature_of(z, sigs) == 0) == trivial
+                outcomes.add(trivial)
+    assert outcomes == {True, False}
 
 
 def test_exact_equals_brute_on_random_surfaces():

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
+import random
 
 import pytest
 
@@ -14,6 +17,7 @@ from conftest import (
     cube,
     cylinder,
     disjoint_union,
+    random_surface,
     six_hole_sphere,
     square,
     surface_code_patch,
@@ -26,6 +30,7 @@ from homolattice import (
     Edge,
     HomolatticeError,
     InvalidSurfaceError,
+    OutOfDomainError,
     Surface,
     canonicalize,
     classify_boundary,
@@ -248,6 +253,85 @@ def test_validation_report_str():
     assert str(validate(square())) == "OK"
     report = validate(Surface(-1, (), ()))
     assert "bad-vertex-count" in str(report)
+
+
+def _malformed() -> list[Surface]:
+    """The crafted surfaces of the violation tests above, rebuilt."""
+    s = square()
+    two_squares = Surface.build(
+        7,
+        [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6), (6, 0)],
+        [(0, 1, 2, 3), (4, 5, 6, 7)],
+    )
+    three_triangles = Surface.build(
+        5,
+        [(0, 1), (1, 2), (2, 0), (1, 3), (3, 0), (1, 4), (4, 0)],
+        [(0, 1, 2), (0, 3, 4), (0, 5, 6)],
+    )
+    c = cube()
+    open_interior = tuple(
+        Edge(e.u, e.v, True) if ei == 0 else e for ei, e in enumerate(c.edges)
+    )
+    return [
+        Surface(-1, (), ()),
+        Surface(s.vertex_count, s.edges, s.faces, ((0.0, 0.0),)),
+        Surface.build(4, [(0, 1), (1, 7), (3, 2), (2, 0)], [(0, 1, 2, 3)]),
+        Surface(s.vertex_count, s.edges + (Edge(2, 2),), s.faces),
+        Surface(s.vertex_count, s.edges + (Edge(1, 0),), s.faces),
+        Surface(s.vertex_count, s.edges, ((0, 1, 2, 9),)),
+        Surface(s.vertex_count, s.edges, ((0, 1, 2, 1),)),
+        Surface(s.vertex_count, s.edges, ((0, 1, 2),)),
+        Surface(s.vertex_count, s.edges, (s.faces[0], s.faces[0])),
+        Surface(s.vertex_count, s.edges + (Edge(0, 3),), s.faces),
+        three_triangles,
+        Surface(c.vertex_count, open_interior, c.faces),
+        Surface(5, s.edges, s.faces, None),
+        two_squares,
+        square((0, 2)),
+    ]
+
+
+_FLAG_SETS = (frozenset(), frozenset({NO_DISTANCE_ONE}), frozenset({GIRTH3}), STRICT_ALL)
+
+
+def _report_surfaces() -> list[Surface]:
+    """Fresh copies of every corpus fixture, the malformed surfaces and 100
+    seeded random draws: no report is computed on them yet."""
+    rng = random.Random(20261018)
+    surfaces = [s for _, s in CORPUS] + _malformed()
+    surfaces += [random_surface(rng) for _ in range(100)]
+    return [dataclasses.replace(s) for s in surfaces]
+
+
+def test_validation_reports_are_pinned():
+    # sha256 of every report under every flag set, recorded when each call
+    # ran the whole validation afresh.
+    h = hashlib.sha256()
+    for s in _report_surfaces():
+        for flags in _FLAG_SETS:
+            h.update(str(validate(s, flags)).encode() + b"\n--\n")
+    assert h.hexdigest() == "7abcb8c6c76820e93ae34cd688df3eac591400533bfb70cc748e39688913d833"
+
+
+def test_validation_reports_do_not_depend_on_call_order():
+    surfaces = _report_surfaces()
+    expected = [[validate(s, flags) for flags in _FLAG_SETS] for s in surfaces]
+    for shift in range(1, len(_FLAG_SETS)):
+        order = list(range(shift, len(_FLAG_SETS))) + list(range(shift))
+        for s, want in zip(surfaces, expected):
+            fresh = dataclasses.replace(s)
+            got = {i: validate(fresh, _FLAG_SETS[i]) for i in order}
+            assert [got[i] for i in range(len(_FLAG_SETS))] == want
+
+
+def test_unknown_strict_flag_rejected_after_a_report_is_cached():
+    s = square((0, 2))
+    assert validate(s, STRICT_ALL).violations
+    assert validate(s).ok
+    with pytest.raises(OutOfDomainError):
+        validate(s, {"bogus"})
+    with pytest.raises(OutOfDomainError):
+        validate(s, {"bogus", NO_DISTANCE_ONE})
 
 
 # ---------------------------------------------------------------------------
