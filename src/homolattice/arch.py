@@ -511,12 +511,7 @@ class ArchReport:
         return all(flags)
 
 
-def evaluate(
-    spec: ArchSpec,
-    compute_distance: bool = False,
-    *,
-    method: str = "exact",
-) -> ArchReport:
+def evaluate(spec: ArchSpec, compute_distance: bool = False) -> ArchReport:
     """Generate, measure, and compare one architecture against its formulas.
 
     For the mixed-diamond family a computed distance below 2t means the
@@ -534,8 +529,8 @@ def evaluate(
     d_z = d_x = d = None
     ratio = None
     if compute_distance and k > 0:
-        d_z = distance_z(cx, method).d
-        d_x = distance_x(cx, method).d
+        d_z = distance_z(cx).d
+        d_x = distance_x(cx).d
         d = min(d_z, d_x)
         ratio = overhead(n, k, d)
         if r.family == "mixed-diamond-hole" and d < 2 * r.t:
@@ -561,17 +556,14 @@ def evaluate(
 
 
 def compare_table(
-    specs: list[ArchSpec],
-    compute_distance: bool = False,
-    *,
-    method: str = "exact",
+    specs: list[ArchSpec], compute_distance: bool = False
 ) -> list[ArchReport]:
     """Evaluate each spec; per-spec failures become error rows, preserving
     batch order."""
     out = []
     for spec in specs:
         try:
-            out.append(evaluate(spec, compute_distance, method=method))
+            out.append(evaluate(spec, compute_distance))
         except HomolatticeError as exc:
             out.append(ArchReport(spec=spec, error=str(exc)))
     return out

@@ -19,6 +19,7 @@ from .arch import FAMILIES, ArchSpec, compare_table, generate, reports_to_csv
 from .code import (
     DistanceResult,
     _bruteforce,
+    _sides,
     distance_bruteforce_oracle,
     distance_x,
     distance_z,
@@ -130,7 +131,7 @@ def _cmd_distance(args: argparse.Namespace) -> int:
     else:
         # the X side is the transposed complex, as in distance_x
         require_valid(cx.surface, STRICT_ALL)
-        res = _bruteforce(cx.d2.transpose(), cx.d1, args.wmax, "dual")
+        res = _bruteforce(*_sides(cx, "dual"), args.wmax, "dual")
     if not isinstance(res, DistanceResult):
         print(f"exhausted: no non-trivial cycle of weight <= {res.w_max}")
         return 0

@@ -6,11 +6,12 @@ stars, Z stabilizers the non-open parts of face boundaries; commutation is
 the statement d1 @ d2 = 0.  The logical count is dim H1 of the relative
 complex; Z distances are minimum weights of non-trivial relative cycles of
 the surface and X distances the same on its dual, taken on the transposed
-complex (d2^T, d1) rather than on a dual surface.
+complex (d2^T, d1) rather than on a dual surface.  Only
+``logical_basis_generic`` builds the dual surface, because its X
+representatives are taken in the dual's own qubit order.
 
 Every public function accepts a surface or its ``boundary_maps`` complex,
-which validates and counts the surface once for all calls (and dualizes it
-once, for the two basis extractors that need the dual).
+which validates and counts the surface once for all calls.
 
 The exact distance method gives every qubit edge a signature in F2^m
 (m = dim H1) such that a relative cycle is non-trivial exactly when its
@@ -48,7 +49,8 @@ from .f2 import (
     rank,
     symplectic_pairing,
 )
-from .homology import ChainComplex, _complex, h1_dim
+from .dual import dualize
+from .homology import ChainComplex, _build_unchecked, _complex, h1_dim
 from .surface import STRICT_ALL, Surface, _edge_faces, require_valid
 
 __all__ = [
@@ -124,8 +126,7 @@ def build_css(s: Surface | ChainComplex) -> CssCode:
     cx = _complex(s)
     n = len(cx.interior_edges)
     x_stabs = tuple(BitVector(n, bits) for bits in cx.d1.row_bits)
-    d2t = cx.d2.transpose()
-    z_stabs = tuple(BitVector(n, bits) for bits in d2t.row_bits)
+    z_stabs = tuple(BitVector(n, bits) for bits in cx._d2t.row_bits)
     return CssCode(
         n=n,
         x_stabilizers=x_stabs,
@@ -143,7 +144,7 @@ def logical_count(s: Surface | ChainComplex) -> int:
     so the check stays independent of the rank of d2 behind ``h1``."""
     cx = _complex(s)
     k = h1_dim(cx)
-    oracle = len(cx.interior_edges) - cx._rank_d1 - rank(cx.d2.transpose())
+    oracle = len(cx.interior_edges) - cx._rank_d1 - rank(cx._d2t)
     if k != oracle:
         raise ModelingError(
             f"h1 dimension ({k}) disagrees with stabilizer rank count ({oracle})"
@@ -211,8 +212,7 @@ def _quotient_basis(kernel_of: BinaryMatrix, modulo: BinaryMatrix) -> list[int]:
 
 
 def _sides(cx: ChainComplex, side: str) -> tuple[BinaryMatrix, BinaryMatrix]:
-    d2t = cx.d2.transpose()
-    return (cx.d1, d2t) if side == "primal" else (d2t, cx.d1)
+    return (cx.d1, cx._d2t) if side == "primal" else (cx._d2t, cx.d1)
 
 
 def _certify_witness(
@@ -228,20 +228,25 @@ def _certify_witness(
         raise ModelingError(f"{side} witness is homologically trivial")
 
 
-def _graph(m: BinaryMatrix) -> list[list[tuple[int, int]]]:
-    """Adjacency lists ``[(neighbour, column)]`` of the graph with one node
-    per row of ``m`` plus a terminal (node ``m.rows``); each column is an
-    edge between its at most two rows, a missing end going to the terminal
-    (a column with no row is a loop there)."""
-    terminal = m.rows
+def _column_rows(m: BinaryMatrix) -> list[list[int]]:
+    """The rows of each column of ``m``, in ascending order."""
     rows_of: list[list[int]] = [[] for _ in range(m.cols)]
     for row, bits in enumerate(m.row_bits):
         while bits:
             low = bits & -bits
             rows_of[low.bit_length() - 1].append(row)
             bits ^= low
+    return rows_of
+
+
+def _graph(m: BinaryMatrix) -> list[list[tuple[int, int]]]:
+    """Adjacency lists ``[(neighbour, column)]`` of the graph with one node
+    per row of ``m`` plus a terminal (node ``m.rows``); each column is an
+    edge between its at most two rows, a missing end going to the terminal
+    (a column with no row is a loop there)."""
+    terminal = m.rows
     adj: list[list[tuple[int, int]]] = [[] for _ in range(terminal + 1)]
-    for pos, rows in enumerate(rows_of):
+    for pos, rows in enumerate(_column_rows(m)):
         u = rows[0] if rows else terminal
         v = rows[-1] if len(rows) > 1 else terminal
         adj[u].append((v, pos))
@@ -495,6 +500,10 @@ def distance_x(s: Surface | ChainComplex, method: str = "exact") -> DistanceResu
     return _distance(cx, method, "dual")
 
 
+# ---------------------------------------------------------------------------
+# Logical bases.
+
+
 def _permute_bits(bits_in: int, new_pos_of_old_pos: list[int], n: int) -> BitVector:
     """Move bit ``i`` of ``bits_in`` to position ``new_pos_of_old_pos[i]``."""
     bits = 0
@@ -506,10 +515,6 @@ def _permute_bits(bits_in: int, new_pos_of_old_pos: list[int], n: int) -> BitVec
     return BitVector(n, bits)
 
 
-# ---------------------------------------------------------------------------
-# Logical bases.
-
-
 def logical_basis_generic(s: Surface | ChainComplex) -> LogicalBasis:
     """Symplectic basis from algebraic homology representatives.
 
@@ -518,19 +523,26 @@ def logical_basis_generic(s: Surface | ChainComplex) -> LogicalBasis:
     bijection; :func:`symplectic_pairing` then normalizes the pairing to the
     identity.  k always equals dim H1.
 
+    The X quotient is reduced in the dual's own qubit order, so this is the
+    one analysis that builds the dual surface.
+
     Raises:
         InvalidSurfaceError: if ``s`` is not strictly valid.
     """
     cx = _complex(s)
-    dcx, _, back = cx.dual
+    dual, corr = dualize(cx.surface)
+    dcx = _build_unchecked(dual)  # dualize has validated the dual strictly
+    n = len(cx.interior_edges)
+    if n != len(dcx.interior_edges):
+        raise ModelingError("non-open edge bijection broken: qubit counts differ")
+    back = [0] * n
+    for e, de in corr.interior_edge_to_dual_edge.items():
+        back[dcx.edge_index[de]] = cx.edge_index[e]
     k = h1_dim(cx)
     if k == 0:
         return LogicalBasis(pairs=())
-    n = len(cx.interior_edges)
-    z_ops = [BitVector(n, z) for z in _quotient_basis(cx.d1, cx.d2.transpose())]
-    x_ops = [
-        _permute_bits(x, back, n) for x in _quotient_basis(dcx.d1, dcx.d2.transpose())
-    ]
+    z_ops = [BitVector(n, z) for z in _quotient_basis(cx.d1, cx._d2t)]
+    x_ops = [_permute_bits(x, back, n) for x in _quotient_basis(dcx.d1, dcx._d2t)]
     if len(z_ops) != k or len(x_ops) != k:
         raise ModelingError(
             f"homology representative counts ({len(z_ops)} Z, {len(x_ops)} X) "
@@ -647,14 +659,21 @@ def logical_basis_boundary_strategy(s: Surface | ChainComplex) -> LogicalBasis:
     vertex set.  The raw pairing matrix is block-triangular with identity
     blocks, so symplectic normalization always succeeds.
 
+    The dual paths run on the graph of the columns of d2^T, so no dual
+    surface is built.  Its nodes are the faces (the dual's vertices, same
+    numbers) and one end per closed boundary edge, numbered from F on in
+    qubit order (the dual's open vertices, same numbers); each node's
+    neighbours are in node order, which is the canonical dual's edge order,
+    so the paths are the ones a BFS on the dual surface finds.
+
     Raises:
         InvalidSurfaceError: if ``s`` is not strictly valid.
         UnsupportedTopologyError: if the boundary structure does not account
             for all of dim H1 (e.g. positive genus or disconnected input).
     """
     cx = _complex(s)
-    dcx, corr, back = cx.dual
     s = cx.surface
+    require_valid(s, STRICT_ALL)
     k = h1_dim(cx)
     holes = _boundary_holes(s)
     runs: list[list[int]] = []
@@ -681,16 +700,19 @@ def logical_basis_boundary_strategy(s: Surface | ChainComplex) -> LogicalBasis:
     x_ops: list[BitVector] = []
 
     if lc >= 1:
-        dual = dcx.surface
-        dual_adj: list[list[tuple[int, int]]] = [[] for _ in range(dual.vertex_count)]
-        for dei in dcx.interior_edges:
-            de = dual.edges[dei]
-            dual_adj[de.u].append((de.v, dei))
-            dual_adj[de.v].append((de.u, dei))
-        run_terminals = [
-            [corr.closed_boundary_edge_to_dual_open_vertex[ei] for ei in run]
-            for run in runs
-        ]
+        dual_adj: list[list[tuple[int, int]]] = [[] for _ in range(cx.face_count)]
+        end_of: dict[int, int] = {}
+        for pos, faces in enumerate(_column_rows(cx._d2t)):
+            if len(faces) == 1:  # a closed boundary edge ends at its own node
+                end_of[cx.interior_edges[pos]] = len(dual_adj)
+                faces.append(len(dual_adj))
+                dual_adj.append([])
+            u, v = faces
+            dual_adj[u].append((v, pos))
+            dual_adj[v].append((u, pos))
+        for neighbours in dual_adj:
+            neighbours.sort()
+        run_terminals = [[end_of[ei] for ei in run] for run in runs]
         last_terminals = set(run_terminals[-1])
         for i in range(lc - 1):
             z_ops.append(cx.edge_chain(runs[i]))
@@ -699,10 +721,7 @@ def logical_basis_boundary_strategy(s: Surface | ChainComplex) -> LogicalBasis:
                 raise UnsupportedTopologyError(
                     "dual lattice does not connect the boundary runs"
                 )
-            dual_bits = 0
-            for dei in dual_path:
-                dual_bits ^= 1 << dcx.edge_index[dei]
-            x_ops.append(_permute_bits(dual_bits, back, n))
+            x_ops.append(BitVector.from_support(n, dual_path))
 
     if bo >= 1:
         adj: list[list[tuple[int, int]]] = [[] for _ in range(s.vertex_count)]
@@ -761,7 +780,7 @@ def verify_logical_basis(s: Surface | ChainComplex, basis: LogicalBasis) -> None
     k = h1_dim(cx)
     if basis.k != k:
         raise ModelingError(f"basis has {basis.k} pairs, dim H1 = {k}")
-    d2t = cx.d2.transpose()
+    d2t = cx._d2t
     trivial = _echelon(d2t.row_bits)
     dual_trivial = _echelon(cx.d1.row_bits)
     for i, (x, z) in enumerate(basis.pairs):

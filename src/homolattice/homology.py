@@ -16,7 +16,8 @@ insists they agree.
 
 The :class:`ChainComplex` that :func:`boundary_maps` returns is the analysis
 of its surface: every homology and code function accepts it in place of the
-surface, and it computes dim H1 and the dual once each.
+surface, and it computes dim H1, rank(d1) and d2^T once each.  The dual's
+side is read off this complex as (d2^T, d1), so no dual surface is built.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .dual import DualCorrespondence, dualize
 from .errors import ModelingError, OutOfDomainError
 from .f2 import BinaryMatrix, BitVector, in_span, rank
 from .surface import (
@@ -53,7 +53,7 @@ class ChainComplex:
     ``interior_vertices`` / ``interior_edges`` are the ascending non-open cell
     indices; position in these tuples is the row/column in ``d1`` and the row
     in ``d2``.  ``d2`` columns are indexed by face number directly.
-    ``surface`` is the validated source; ``h1``, ``dual`` and rank(d1) are
+    ``surface`` is the validated source; ``h1``, rank(d1) and d2^T are
     cached.
     """
 
@@ -90,6 +90,12 @@ class ChainComplex:
         return rank(self.d1)
 
     @cached_property
+    def _d2t(self) -> BinaryMatrix:
+        """d2^T: the Z stabilizers as rows, and the dual's d1 up to cell
+        order (its rows are the faces, which are the dual's vertices)."""
+        return self.d2.transpose()
+
+    @cached_property
     def h1(self) -> int:
         """dim H1 by the counting formula
 
@@ -114,30 +120,6 @@ class ChainComplex:
                 f"h1 formula ({formula}) disagrees with rank computation ({oracle})"
             )
         return formula
-
-    @cached_property
-    def dual(self) -> tuple[ChainComplex, DualCorrespondence, list[int]]:
-        """``(dual complex, correspondence, primal_pos_of_dual_pos)``: the
-        complex of :func:`dualize`'s already strictly valid output, and the
-        qubit permutation induced by the non-open edge bijection.
-
-        Only the logical-basis extractors need it: ``logical_basis_generic``
-        takes its X representatives in the dual's qubit order, and
-        ``logical_basis_boundary_strategy`` walks dual paths through the
-        correspondence.  X distances and basis verification use the
-        transposed complex (d2^T, d1) instead.
-
-        Raises:
-            InvalidSurfaceError: if the surface is not strictly valid.
-        """
-        dual, corr = dualize(self.surface)
-        dcx = _build_unchecked(dual)
-        if len(self.interior_edges) != len(dcx.interior_edges):
-            raise ModelingError("non-open edge bijection broken: qubit counts differ")
-        primal_pos_of_dual_pos = [0] * len(dcx.interior_edges)
-        for e, de in corr.interior_edge_to_dual_edge.items():
-            primal_pos_of_dual_pos[dcx.edge_index[de]] = self.edge_index[e]
-        return dcx, corr, primal_pos_of_dual_pos
 
 
 def _build_unchecked(s: Surface) -> ChainComplex:
@@ -225,4 +207,4 @@ def is_trivial_cycle(s: Surface | ChainComplex, z: BitVector) -> bool:
     cx = _complex(s)
     if cx.d1.matvec(z):
         raise OutOfDomainError("z is not a relative cycle (d1 z != 0)")
-    return in_span(cx.d2.transpose(), z)
+    return in_span(cx._d2t, z)

@@ -504,8 +504,9 @@ def test_each_surface_is_validated_once_per_analysis(tmp_path, capsys, monkeypat
 
 def test_distance_paths_build_no_dual(tmp_path, capsys, monkeypatch):
     # The X side runs on the transposed complex (d2^T, d1), so neither side's
-    # distance dualizes, and evaluate validates only in the generator, the
-    # complex and the X side's strict check.
+    # distance nor the boundary-strategy basis dualizes, and evaluate
+    # validates only in the generator, the complex and the X side's strict
+    # check.
     spec = ArchSpec("mixed-diamond-hole", h=2, h2=2, t=2)
     path = tmp_path / "s.json"
     save_surface(generate(spec), path)
@@ -514,14 +515,23 @@ def test_distance_paths_build_no_dual(tmp_path, capsys, monkeypatch):
     validations = count_validations(monkeypatch)
     assert evaluate(spec, compute_distance=True).match
     assert len(validations) <= 3
+    logicals = tmp_path / "logicals.json"
     for argv, line in (
         (["analyze", str(path), "--distance", "exact"], "d_x=4"),
         (["distance", str(path), "--side", "x"], "d_x=4"),
         (["distance", str(torus), "--side", "x", "--method", "brute", "--wmax", "3"], "d_x=3"),
+        (
+            ["logicals", str(path), "--method", "boundary", "-o", str(logicals)],
+            f"wrote {logicals}: k=11 verified symplectic pairs",
+        ),
     ):
         assert main(argv) == 0
         assert line in capsys.readouterr().out.splitlines()
     assert duals == []
+    # Only the generic basis builds the dual, once, for its X quotient.
+    assert main(["logicals", str(path), "--method", "generic", "-o", str(logicals)]) == 0
+    capsys.readouterr()
+    assert len(duals) == 1
 
 
 def test_evaluate_runs_the_validation_body_once(monkeypatch):

@@ -22,6 +22,7 @@ from homolattice import (
     NoLogicalsError,
     OutOfDomainError,
     STRICT_ALL,
+    Surface,
     UnsupportedTopologyError,
     boundary_maps,
     build_css,
@@ -432,9 +433,74 @@ def test_k_zero_gives_empty_basis():
     assert logical_basis_boundary_strategy(s) == LogicalBasis(pairs=())
 
 
-def test_generic_basis_requires_strict():
+@pytest.mark.parametrize(
+    "extract",
+    [logical_basis_generic, logical_basis_boundary_strategy],
+    ids=["generic", "boundary"],
+)
+def test_generic_basis_requires_strict(extract):
     with pytest.raises(InvalidSurfaceError):
-        logical_basis_generic(square((0, 2)))
+        extract(square((0, 2)))
+
+
+# The basis-roundtrip members of the benchmark (family, h, h2, t).
+_ROUNDTRIP = (
+    ("mixed-diamond-hole", 2, 2, 3),
+    ("mixed-diamond-hole", 1, 5, 3),
+    ("mixed-diamond-hole", 2, 2, 5),
+    ("square-hole", 3, 3, 1),
+)
+
+
+def _relabel(s: Surface, rng: random.Random) -> Surface:
+    """``s`` with its vertices, edges and faces renumbered, edge endpoints
+    swapped and face cycles rotated or reversed at random."""
+    vmap, emap, fmap = (
+        list(range(count)) for count in (s.vertex_count, len(s.edges), len(s.faces))
+    )
+    for perm in (vmap, emap, fmap):
+        rng.shuffle(perm)
+    edges = [None] * len(s.edges)
+    for old, e in enumerate(s.edges):
+        u, v = vmap[e.u], vmap[e.v]
+        edges[emap[old]] = (v, u, e.open) if rng.random() < 0.5 else (u, v, e.open)
+    faces = [None] * len(s.faces)
+    for old, face in enumerate(s.faces):
+        cycle = [emap[ei] for ei in face]
+        shift = rng.randrange(len(cycle))
+        cycle = cycle[shift:] + cycle[:shift]
+        faces[fmap[old]] = cycle[::-1] if rng.random() < 0.5 else cycle
+    return Surface.build(s.vertex_count, edges, faces)
+
+
+def test_logical_bases_are_pinned():
+    # sha256 of the pair supports of both bases wherever each applies: the
+    # strict corpus, the benchmark's basis-roundtrip members and seeded
+    # relabelings of them.  Recorded while the boundary strategy still walked
+    # its X paths on the dual surface; the bases must stay bit-identical.
+    rng = random.Random(20261018)
+    members = list(STRICT_CORPUS)
+    for m in _ROUNDTRIP:
+        name = "-".join(map(str, m))
+        s = generate(ArchSpec(m[0], h=m[1], h2=m[2], t=m[3]))
+        members.append((name, s))
+        members += [(f"{name}/{i}", _relabel(s, rng)) for i in range(3)]
+    rows = []
+    for name, s in members:
+        cx = boundary_maps(s)
+        for method, extract in (
+            ("generic", logical_basis_generic),
+            ("boundary", logical_basis_boundary_strategy),
+        ):
+            try:
+                basis = extract(cx)
+            except UnsupportedTopologyError:
+                continue
+            pairs = [[list(x.support), list(z.support)] for x, z in basis.pairs]
+            rows.append([name, method, pairs])
+    assert len(rows) == 96
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "b2c2f73caf5d6068be0f4c87c0cf99dcae2f399e5274dd95150117f923a68d94"
 
 
 def test_verify_accepts_stabilizer_deformation():
