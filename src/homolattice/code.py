@@ -11,7 +11,10 @@ complex (d2^T, d1) rather than on a dual surface.  Only
 representatives are taken in the dual's own qubit order.
 
 Every public function accepts a surface or its ``boundary_maps`` complex,
-which validates and counts the surface once for all calls.
+which validates, classifies and counts the surface once for all calls.  The
+logical count's cross-check against the stabilizer ranks lives in the
+complex's ``h1``; the search graphs of both sides are the complex's graphs
+of d1 and d2^T, the X side taking the pair swapped.
 
 The exact distance method gives every qubit edge a signature in F2^m
 (m = dim H1) such that a relative cycle is non-trivial exactly when its
@@ -46,12 +49,12 @@ from .f2 import (
     _reduce,
     in_span,
     kernel_basis,
-    rank,
+    rank,  # not used here, but bench/test_bench.py patches homolattice.code.rank
     symplectic_pairing,
 )
 from .dual import dualize
 from .homology import ChainComplex, _build_unchecked, _complex, h1_dim
-from .surface import STRICT_ALL, Surface, _edge_faces, require_valid
+from .surface import STRICT_ALL, Surface, require_valid
 
 __all__ = [
     "CssCode",
@@ -138,18 +141,10 @@ def build_css(s: Surface | ChainComplex) -> CssCode:
 
 
 def logical_count(s: Surface | ChainComplex) -> int:
-    """Number of logical qubits: dim H1, cross-checked against
-    n - rank(X stabilizers) - rank(Z stabilizers), whose rows are those of d1
-    and d2^T.  rank(d1) is the complex's cached one; d2^T is eliminated here,
-    so the check stays independent of the rank of d2 behind ``h1``."""
-    cx = _complex(s)
-    k = h1_dim(cx)
-    oracle = len(cx.interior_edges) - cx._rank_d1 - rank(cx._d2t)
-    if k != oracle:
-        raise ModelingError(
-            f"h1 dimension ({k}) disagrees with stabilizer rank count ({oracle})"
-        )
-    return k
+    """Number of logical qubits: dim H1, which the complex's ``h1`` already
+    cross-checks against n - rank(X stabilizers) - rank(Z stabilizers), the
+    ranks of d1 and d2^T."""
+    return h1_dim(s)
 
 
 def k_uniform(g: int, orientable: bool, b_c: int, b_o: int) -> int:
@@ -215,6 +210,12 @@ def _sides(cx: ChainComplex, side: str) -> tuple[BinaryMatrix, BinaryMatrix]:
     return (cx.d1, cx._d2t) if side == "primal" else (cx._d2t, cx.d1)
 
 
+def _graphs(cx: ChainComplex, side: str) -> tuple[list, list]:
+    """The graphs of the side's ``(a, b)``, in the order of :func:`_sides`."""
+    a, b = cx._d1_graph, cx._d2t_graph
+    return (a, b) if side == "primal" else (b, a)
+
+
 def _certify_witness(
     a: BinaryMatrix, b: BinaryMatrix, witness: BitVector, d: int, side: str
 ) -> None:
@@ -226,33 +227,6 @@ def _certify_witness(
         raise ModelingError(f"{side} witness is not a relative cycle")
     if in_span(b, witness):
         raise ModelingError(f"{side} witness is homologically trivial")
-
-
-def _column_rows(m: BinaryMatrix) -> list[list[int]]:
-    """The rows of each column of ``m``, in ascending order."""
-    rows_of: list[list[int]] = [[] for _ in range(m.cols)]
-    for row, bits in enumerate(m.row_bits):
-        while bits:
-            low = bits & -bits
-            rows_of[low.bit_length() - 1].append(row)
-            bits ^= low
-    return rows_of
-
-
-def _graph(m: BinaryMatrix) -> list[list[tuple[int, int]]]:
-    """Adjacency lists ``[(neighbour, column)]`` of the graph with one node
-    per row of ``m`` plus a terminal (node ``m.rows``); each column is an
-    edge between its at most two rows, a missing end going to the terminal
-    (a column with no row is a loop there)."""
-    terminal = m.rows
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(terminal + 1)]
-    for pos, rows in enumerate(_column_rows(m)):
-        u = rows[0] if rows else terminal
-        v = rows[-1] if len(rows) > 1 else terminal
-        adj[u].append((v, pos))
-        if v != u:
-            adj[v].append((u, pos))
-    return adj
 
 
 def _bfs_forest(
@@ -320,11 +294,16 @@ def _signatures(
     return sigs, m
 
 
-def _exact_min_cycle(a: BinaryMatrix, b: BinaryMatrix, h1: int) -> tuple[int, BitVector]:
+def _exact_min_cycle(
+    adj: list[list[tuple[int, int]]],
+    adj_b: list[list[tuple[int, int]]],
+    n: int,
+    h1: int,
+) -> tuple[int, BitVector]:
     """Minimum weight and witness over the non-trivial relative cycles of the
-    side ``(a, b)``.
+    side ``(a, b)`` with ``n`` qubits, given the graphs of ``a`` and ``b``.
 
-    The search graph is :func:`_graph` of ``a``: one node per row of ``a``
+    The search graph ``adj`` is the graph of ``a``: one node per row of ``a``
     plus one terminal, and one edge per qubit.  On the Z side the nodes are
     the non-open vertices and the terminal stands for every open vertex; on
     the X side the nodes are the faces and closed-boundary edges reach the
@@ -352,9 +331,7 @@ def _exact_min_cycle(a: BinaryMatrix, b: BinaryMatrix, h1: int) -> tuple[int, Bi
     the smallest candidate weighs exactly |C|, and its XOR set (the two tree
     paths plus the edge) is a witness of that weight.
     """
-    n = a.cols
-    adj = _graph(a)
-    sigs, m = _signatures(adj, _graph(b), n)
+    sigs, m = _signatures(adj, adj_b, n)
     if m != h1:
         raise ModelingError(f"tree-cotree split leaves {m} edges, expected {h1}")
     if not m:
@@ -464,7 +441,7 @@ def _distance(s: Surface | ChainComplex, method: str, side: str) -> DistanceResu
         if isinstance(res, Exhausted):  # unreachable with dim H1 >= 1
             raise ModelingError("uncapped brute force exhausted with dim H1 >= 1")
     else:
-        d, witness = _exact_min_cycle(a, b, cx.h1)
+        d, witness = _exact_min_cycle(*_graphs(cx, side), a.cols, cx.h1)
         res = DistanceResult(d=d, witness=witness, side=side, method="exact-search")
     _certify_witness(a, b, res.witness, res.d, side)
     return res
@@ -555,14 +532,12 @@ def logical_basis_generic(s: Surface | ChainComplex) -> LogicalBasis:
     return LogicalBasis(pairs=tuple(pairs))
 
 
-def _boundary_holes(s: Surface) -> list[list[int]]:
+def _boundary_holes(cx: ChainComplex) -> list[list[int]]:
     """Boundary rims as edge cycles in walk order, one list per hole,
-    ordered by smallest member edge index."""
-    incidence = _edge_faces(s)
-    boundary = [ei for ei, fs in enumerate(incidence) if len(fs) == 1]
-    if not boundary:
-        return []
-    bset = set(boundary)
+    ordered by smallest member edge index (each hole is seeded at its
+    smallest edge, since the seeds ascend)."""
+    s = cx.surface
+    boundary = sorted(cx._classification.boundary_edges)
     at_vertex: dict[int, list[int]] = {}
     for ei in boundary:
         e = s.edges[ei]
@@ -578,15 +553,13 @@ def _boundary_holes(s: Surface) -> list[list[int]]:
         unused.discard(seed)
         cur_vertex = min(e.u, e.v)
         while True:
-            candidates = [x for x in at_vertex[cur_vertex] if x != walk[-1]]
-            (nxt,) = [x for x in candidates if x in bset]
+            (nxt,) = [x for x in at_vertex[cur_vertex] if x != walk[-1]]
             if nxt == seed:
                 break
             walk.append(nxt)
             unused.discard(nxt)
             cur_vertex = s.edges[nxt].other(cur_vertex)
         holes.append(walk)
-    holes.sort(key=min)
     return holes
 
 
@@ -659,12 +632,13 @@ def logical_basis_boundary_strategy(s: Surface | ChainComplex) -> LogicalBasis:
     vertex set.  The raw pairing matrix is block-triangular with identity
     blocks, so symplectic normalization always succeeds.
 
-    The dual paths run on the graph of the columns of d2^T, so no dual
-    surface is built.  Its nodes are the faces (the dual's vertices, same
-    numbers) and one end per closed boundary edge, numbered from F on in
-    qubit order (the dual's open vertices, same numbers); each node's
-    neighbours are in node order, which is the canonical dual's edge order,
-    so the paths are the ones a BFS on the dual surface finds.
+    The dual paths run on the graph of d2^T, read from the faces of each
+    qubit as the complex's graph of d2^T is, so no dual surface is built.
+    Its nodes are the faces (the dual's vertices, same numbers) and one end
+    per closed boundary edge, numbered from F on in qubit order (the dual's
+    open vertices, same numbers); each node's neighbours are in node order,
+    which is the canonical dual's edge order, so the paths are the ones a
+    BFS on the dual surface finds.
 
     Raises:
         InvalidSurfaceError: if ``s`` is not strictly valid.
@@ -675,7 +649,7 @@ def logical_basis_boundary_strategy(s: Surface | ChainComplex) -> LogicalBasis:
     s = cx.surface
     require_valid(s, STRICT_ALL)
     k = h1_dim(cx)
-    holes = _boundary_holes(s)
+    holes = _boundary_holes(cx)
     runs: list[list[int]] = []
     for walk in holes:
         runs.extend(_rim_runs(s, walk))
@@ -702,12 +676,10 @@ def logical_basis_boundary_strategy(s: Surface | ChainComplex) -> LogicalBasis:
     if lc >= 1:
         dual_adj: list[list[tuple[int, int]]] = [[] for _ in range(cx.face_count)]
         end_of: dict[int, int] = {}
-        for pos, faces in enumerate(_column_rows(cx._d2t)):
-            if len(faces) == 1:  # a closed boundary edge ends at its own node
-                end_of[cx.interior_edges[pos]] = len(dual_adj)
-                faces.append(len(dual_adj))
+        for pos, (u, v) in enumerate(cx._face_ends()):
+            if v == cx.face_count:  # a closed boundary edge ends at its own node
+                end_of[cx.interior_edges[pos]] = v = len(dual_adj)
                 dual_adj.append([])
-            u, v = faces
             dual_adj[u].append((v, pos))
             dual_adj[v].append((u, pos))
         for neighbours in dual_adj:

@@ -11,23 +11,29 @@ time and a failure raises :class:`ModelingError`, since everything downstream
 (commuting stabilizers, logical counting) depends on it.
 
 ``h1_dim`` computes dim ker(d1)/im(d2) two ways — a counting formula with
-connected-component correction terms, and a direct rank computation — and
-insists they agree.
+connected-component correction terms, and n - rank(d1) - rank(d2^T), the
+stabilizer count — and insists they agree.  This is the one cross-check of
+the logical count; ``h1_dim_oracle`` eliminates d2 rather than d2^T, so it
+checks the other orientation.
 
 The :class:`ChainComplex` that :func:`boundary_maps` returns is the analysis
 of its surface: every homology and code function accepts it in place of the
-surface, and it computes dim H1, rank(d1) and d2^T once each.  The dual's
-side is read off this complex as (d2^T, d1), so no dual surface is built.
+surface.  Everything derived from the surface is computed once per complex:
+the boundary classification (at build time), dim H1, d2^T, and the graphs
+of d1 and d2^T that the distance search walks.  The dual's side is read off
+this complex as (d2^T, d1), so no dual surface is built.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import ModelingError, OutOfDomainError
 from .f2 import BinaryMatrix, BitVector, in_span, rank
 from .surface import (
+    BoundaryClassification,
     Surface,
     _classify_unchecked,
     _kappa_no_closed_boundary_edge,
@@ -46,6 +52,19 @@ __all__ = [
 ]
 
 
+def _graph(nodes: int, ends: Iterable[tuple[int, int]]) -> list[list[tuple[int, int]]]:
+    """Adjacency lists ``[(neighbour, qubit)]`` of the graph with ``nodes``
+    nodes plus a terminal (node ``nodes``) and one edge per qubit between
+    its two ``ends``; a missing end is given as the terminal (an edge with
+    both ends there is a loop)."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(nodes + 1)]
+    for pos, (u, v) in enumerate(ends):
+        adj[u].append((v, pos))
+        if v != u:
+            adj[v].append((u, pos))
+    return adj
+
+
 @dataclass(frozen=True)
 class ChainComplex:
     """Boundary maps plus the cell orderings that index their rows/columns.
@@ -53,8 +72,8 @@ class ChainComplex:
     ``interior_vertices`` / ``interior_edges`` are the ascending non-open cell
     indices; position in these tuples is the row/column in ``d1`` and the row
     in ``d2``.  ``d2`` columns are indexed by face number directly.
-    ``surface`` is the validated source; ``h1``, rank(d1) and d2^T are
-    cached.
+    ``surface`` is the validated source and ``_classification`` its boundary
+    classification; ``h1``, d2^T and the graphs of d1 and d2^T are cached.
     """
 
     d2: BinaryMatrix
@@ -63,6 +82,7 @@ class ChainComplex:
     interior_edges: tuple[int, ...]
     face_count: int
     surface: Surface = field(repr=False, compare=False)
+    _classification: BoundaryClassification = field(repr=False, compare=False)
 
     @cached_property
     def vertex_row(self) -> dict[int, int]:
@@ -84,16 +104,35 @@ class ChainComplex:
         return tuple(self.interior_edges[i] for i in z.support)
 
     @cached_property
-    def _rank_d1(self) -> int:
-        """rank(d1), shared by the cross-checks of ``h1`` and
-        ``logical_count``."""
-        return rank(self.d1)
-
-    @cached_property
     def _d2t(self) -> BinaryMatrix:
         """d2^T: the Z stabilizers as rows, and the dual's d1 up to cell
         order (its rows are the faces, which are the dual's vertices)."""
         return self.d2.transpose()
+
+    @cached_property
+    def _d1_graph(self) -> list[list[tuple[int, int]]]:
+        """The qubits as edges between their non-open end vertices (by row
+        of d1); the terminal stands for every open vertex."""
+        row, terminal = self.vertex_row, len(self.interior_vertices)
+        edges = (self.surface.edges[ei] for ei in self.interior_edges)
+        return _graph(
+            terminal, ((row.get(e.u, terminal), row.get(e.v, terminal)) for e in edges)
+        )
+
+    def _face_ends(self) -> Iterator[tuple[int, int]]:
+        """The two faces of each qubit in qubit order, read from its row of
+        d2, lower first; a closed boundary edge has one face, and its second
+        end is ``face_count``."""
+        for bits in self.d2.row_bits:
+            top = bits.bit_length() - 1
+            low = (bits & -bits).bit_length() - 1
+            yield low, (top if top != low else self.face_count)
+
+    @cached_property
+    def _d2t_graph(self) -> list[list[tuple[int, int]]]:
+        """The qubits as edges between their faces (rows of d2^T); closed
+        boundary edges reach the terminal."""
+        return _graph(self.face_count, self._face_ends())
 
     @cached_property
     def h1(self) -> int:
@@ -102,11 +141,11 @@ class ChainComplex:
             -|interior vertices| + |interior edges| - |faces|
                 + kappa_no_open_vertex + kappa_no_closed_boundary_edge
 
-        cross-checked against the rank-based value; a mismatch raises
-        :class:`ModelingError`.
+        cross-checked against n - rank(d1) - rank(d2^T), the qubits less the
+        ranks of the X and Z stabilizers (d2^T is the cheaper orientation to
+        eliminate); a mismatch raises :class:`ModelingError`.
         """
-        s = self.surface
-        cls = _classify_unchecked(s)
+        s, cls = self.surface, self._classification
         formula = (
             -len(self.interior_vertices)
             + len(self.interior_edges)
@@ -114,7 +153,7 @@ class ChainComplex:
             + _kappa_no_open_vertex(s, cls)
             + _kappa_no_closed_boundary_edge(s, cls)
         )
-        oracle = (self.d1.cols - self._rank_d1) - rank(self.d2)
+        oracle = self.d1.cols - rank(self.d1) - rank(self._d2t)
         if formula != oracle:
             raise ModelingError(
                 f"h1 formula ({formula}) disagrees with rank computation ({oracle})"
@@ -147,7 +186,7 @@ def _build_unchecked(s: Surface) -> ChainComplex:
 
     if not d1.matmul(d2).is_zero():
         raise ModelingError("d1 @ d2 != 0: boundary maps do not compose to zero")
-    return ChainComplex(d2, d1, interior_vertices, interior_edges, len(s.faces), s)
+    return ChainComplex(d2, d1, interior_vertices, interior_edges, len(s.faces), s, cls)
 
 
 def boundary_maps(s: Surface) -> ChainComplex:
@@ -181,7 +220,8 @@ def cycle_space_dim(s: Surface) -> int:
 
 
 def h1_dim_oracle(s: Surface | ChainComplex) -> int:
-    """dim H1 by direct rank computation: dim ker d1 - dim im d2."""
+    """dim H1 by direct rank computation: dim ker d1 - dim im d2.  It ranks
+    d2 itself, where ``h1``'s cross-check ranks d2^T."""
     cx = _complex(s)
     return (cx.d1.cols - rank(cx.d1)) - rank(cx.d2)
 

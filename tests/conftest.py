@@ -19,6 +19,7 @@ from homolattice import (
     generate,
     validate,
 )
+from homolattice.arch import _punch
 
 # ---------------------------------------------------------------------------
 # Hand-built surfaces.
@@ -82,6 +83,36 @@ def cylinder(rows: int, cols: int, open_low: bool = False, open_high: bool = Fal
             right = add(vid(i, j + 1), vid(i + 1, j + 1), False)
             faces.append((top, right, bottom, left))
     return Surface.build((rows + 1) * cols, edges, faces)
+
+
+def klein_bottle(L: int) -> Surface:
+    """L x L square lattice whose rows wrap normally and whose top row is
+    glued to the bottom row reversed, (L, j) = (0, -j): a Klein bottle,
+    built through the generators' build path."""
+    def vid(i: int, j: int) -> int:
+        return i * L + j % L if i < L else -j % L
+    edges: list[tuple[int, int]] = []
+    eidx: dict[tuple[int, int], int] = {}
+    for i in range(L):
+        for j in range(L):
+            for u, v in ((vid(i, j), vid(i, j + 1)), (vid(i, j), vid(i + 1, j))):
+                eidx[(min(u, v), max(u, v))] = len(edges)
+                edges.append((u, v))
+    def e(a: tuple[int, int], b: tuple[int, int]) -> int:
+        u, v = vid(*a), vid(*b)
+        return eidx[(min(u, v), max(u, v))]
+    faces = {
+        (i, j): (
+            e((i, j), (i, j + 1)),
+            e((i, j + 1), (i + 1, j + 1)),
+            e((i + 1, j), (i + 1, j + 1)),
+            e((i, j), (i + 1, j)),
+        )
+        for i in range(L)
+        for j in range(L)
+    }
+    coords = [(float(j), float(i)) for i in range(L) for j in range(L)]
+    return _punch(edges, faces, coords)
 
 
 def open_sides(s: Surface, sides: set[str]) -> Surface:

@@ -21,7 +21,9 @@ from homolattice import (
     evaluate,
     gen_torus,
     generate,
+    h1_dim_oracle,
     load_surface,
+    logical_count,
     save_surface,
     to_json,
     validate,
@@ -541,3 +543,22 @@ def test_evaluate_runs_the_validation_body_once(monkeypatch):
     spec = ArchSpec("mixed-diamond-hole", h=2, h2=2, t=2)
     assert evaluate(spec, compute_distance=True).match
     assert len(bodies) == 1
+
+
+def test_evaluate_classifies_ranks_and_builds_graphs_once(monkeypatch):
+    # The complex keeps the classification its build computed, h1's check
+    # ranks d1 and d2^T once each (logical_count adds none), and both sides'
+    # searches walk the complex's two graphs, the X side taking them swapped.
+    spec = ArchSpec("mixed-diamond-hole", h=2, h2=2, t=2)
+    s = generate(spec)
+    classifications = count_calls(monkeypatch, homolattice.surface._classify_unchecked)
+    ranks = count_calls(monkeypatch, homolattice.f2.rank)
+    assert evaluate(spec, compute_distance=True).match
+    assert (len(classifications), len(ranks)) == (1, 2)
+    graphs = count_calls(monkeypatch, homolattice.homology._graph)
+    assert evaluate(spec, compute_distance=True).match
+    assert len(graphs) == 2
+    # The oracle ranks d1 and d2 on a complex of its own.
+    ranks.clear()
+    assert logical_count(s) == h1_dim_oracle(s) == 11
+    assert len(ranks) == 4

@@ -8,7 +8,15 @@ import random
 
 import pytest
 
-from conftest import CORPUS, CORPUS_IDS, STRICT_CORPUS, STRICT_CORPUS_IDS, random_surface, square
+from conftest import (
+    CORPUS,
+    CORPUS_IDS,
+    STRICT_CORPUS,
+    STRICT_CORPUS_IDS,
+    klein_bottle,
+    random_surface,
+    square,
+)
 from homolattice import (
     ArchSpec,
     BinaryMatrix,
@@ -46,7 +54,7 @@ from homolattice import (
     validate,
     verify_logical_basis,
 )
-from homolattice.code import _graph, _sides, _signatures
+from homolattice.code import _graphs, _sides, _signatures
 
 # ---------------------------------------------------------------------------
 # stabilizer extraction
@@ -117,6 +125,59 @@ def test_logical_count_cross_checks_ranks(name, s):
         assert is_relative_cycle(cx, res.witness) and is_relative_cycle(s, res.witness)
         assert not is_trivial_cycle(cx, res.witness)
         assert not is_trivial_cycle(s, res.witness)
+
+
+def _orientable(s: Surface) -> bool:
+    """Whether the faces can be oriented so that every edge shared by two
+    faces is walked in opposite directions by their boundary walks."""
+    walks = []  # per face: edge -> +1 if walked from u to v, else -1
+    for face in s.faces:
+        first, last = s.edges[face[0]], s.edges[face[-1]]
+        (v,) = set(first.endpoints()) & set(last.endpoints())
+        walk = {}
+        for ei in face:
+            walk[ei] = 1 if s.edges[ei].u == v else -1
+            v = s.edges[ei].other(v)
+        walks.append(walk)
+    faces_of: dict[int, list[int]] = {}
+    for fi, walk in enumerate(walks):
+        for ei in walk:
+            faces_of.setdefault(ei, []).append(fi)
+    sign = [0] * len(walks)
+    for start in range(len(walks)):
+        if sign[start]:
+            continue
+        sign[start] = 1
+        stack = [start]
+        while stack:
+            f = stack.pop()
+            for ei, direction in walks[f].items():
+                for g in faces_of[ei]:
+                    if g == f:
+                        continue
+                    want = -sign[f] * direction * walks[g][ei]
+                    if not sign[g]:
+                        sign[g] = want
+                        stack.append(g)
+                    elif sign[g] != want:
+                        return False
+    return True
+
+
+@pytest.mark.parametrize("L", [3, 4, 5, 6])
+def test_klein_bottle_counts_and_distances(L):
+    # A torus has the same k and d, so the fixture must be shown to be
+    # non-orientable; the face-orientation check tells the two apart.
+    s = klein_bottle(L)
+    assert validate(s, STRICT_ALL).ok
+    assert not _orientable(s)
+    assert _orientable(generate(ArchSpec("torus", L=L)))
+    cx = boundary_maps(s)
+    assert h1_dim(cx) == logical_count(cx) == h1_dim_oracle(cx) == 2
+    assert k_uniform(2, False, 0, 0) == 2
+    assert distance_z(cx).d == distance_x(cx).d == L
+    if L == 3:
+        assert distance_z(cx, "brute").d == distance_x(cx, "brute").d == L
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +417,7 @@ def test_tree_cotree_signatures_match_an_elimination():
         cx = boundary_maps(s)
         for side in ("primal", "dual"):
             a, b = _sides(cx, side)
-            sigs, m = _signatures(_graph(a), _graph(b), a.cols)
+            sigs, m = _signatures(*_graphs(cx, side), a.cols)
             assert m == cx.h1
             assert all(_signature_of(row, sigs) == 0 for row in b.row_bits)
             cycles = kernel_basis(a)

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+import homolattice.homology
 from conftest import CORPUS, CORPUS_IDS, square, surface_code_patch
 from homolattice import (
     BitVector,
     DimensionError,
     HomolatticeError,
     InvalidSurfaceError,
+    ModelingError,
     Surface,
     boundary_maps,
     classify_boundary,
@@ -18,6 +20,7 @@ from homolattice import (
     h1_dim_oracle,
     is_relative_cycle,
     is_trivial_cycle,
+    logical_count,
     rank,
 )
 
@@ -106,6 +109,15 @@ def test_h1_formula_agrees_with_rank_oracle(name, s):
     # h1_dim internally recomputes by ranks and raises on mismatch; assert the
     # agreement explicitly and against independently derived values.
     assert h1_dim(s) == h1_dim_oracle(s) == H1_KNOWN[name]
+
+
+@pytest.mark.parametrize("count", [h1_dim, logical_count])
+def test_rank_disagreement_raises(count, monkeypatch):
+    # Only a broken elimination can make the rank side disagree, so one is
+    # patched in.
+    monkeypatch.setattr(homolattice.homology, "rank", lambda m: rank(m) + 1)
+    with pytest.raises(ModelingError, match="disagrees with rank computation"):
+        count(surface_code_patch(2, 3))
 
 
 @pytest.mark.parametrize(("name", "s"), CORPUS, ids=CORPUS_IDS)
