@@ -16,12 +16,18 @@ stabilizer count — and insists they agree.  This is the one cross-check of
 the logical count; ``h1_dim_oracle`` eliminates d2 rather than d2^T, so it
 checks the other orientation.
 
+The formula's two component counts are read off the complex itself: the
+open vertices are those with no row of d1, and the closed boundary edges
+are the qubits whose row of d2 has one bit.
+
 The :class:`ChainComplex` that :func:`boundary_maps` returns is the analysis
 of its surface: every homology and code function accepts it in place of the
-surface.  Everything derived from the surface is computed once per complex:
-the boundary classification (at build time), dim H1, d2^T, and the graphs
-of d1 and d2^T that the distance search walks.  The dual's side is read off
-this complex as (d2^T, d1), so no dual surface is built.
+surface.  One pass over the cells fills d1, d2 and d2^T together, with no
+boundary classification and no transpose.  Everything else derived from the
+surface is computed on demand, once per complex: dim H1, the graphs of d1
+and d2^T that the distance search walks, and the boundary classification,
+which only the boundary strategy's hole walk reads.  The dual's side is
+read off this complex as (d2^T, d1), so no dual surface is built.
 """
 
 from __future__ import annotations
@@ -36,8 +42,7 @@ from .surface import (
     BoundaryClassification,
     Surface,
     _classify_unchecked,
-    _kappa_no_closed_boundary_edge,
-    _kappa_no_open_vertex,
+    _kappa,
     require_valid,
 )
 
@@ -72,8 +77,9 @@ class ChainComplex:
     ``interior_vertices`` / ``interior_edges`` are the ascending non-open cell
     indices; position in these tuples is the row/column in ``d1`` and the row
     in ``d2``.  ``d2`` columns are indexed by face number directly.
-    ``surface`` is the validated source and ``_classification`` its boundary
-    classification; ``h1``, d2^T and the graphs of d1 and d2^T are cached.
+    ``surface`` is the validated source and ``_d2t`` is d2^T, filled in by
+    the same pass over the cells as d1 and d2.  ``h1``, the graphs of d1 and
+    d2^T and the boundary classification are computed on demand and cached.
     """
 
     d2: BinaryMatrix
@@ -82,7 +88,9 @@ class ChainComplex:
     interior_edges: tuple[int, ...]
     face_count: int
     surface: Surface = field(repr=False, compare=False)
-    _classification: BoundaryClassification = field(repr=False, compare=False)
+    # d2^T: the Z stabilizers as rows, and the dual's d1 up to cell order
+    # (its rows are the faces, which are the dual's vertices).
+    _d2t: BinaryMatrix = field(repr=False, compare=False)
 
     @cached_property
     def vertex_row(self) -> dict[int, int]:
@@ -104,20 +112,26 @@ class ChainComplex:
         return tuple(self.interior_edges[i] for i in z.support)
 
     @cached_property
-    def _d2t(self) -> BinaryMatrix:
-        """d2^T: the Z stabilizers as rows, and the dual's d1 up to cell
-        order (its rows are the faces, which are the dual's vertices)."""
-        return self.d2.transpose()
+    def _classification(self) -> BoundaryClassification:
+        """The surface's boundary classification, which only the boundary
+        strategy's hole walk reads."""
+        return _classify_unchecked(self.surface)
+
+    def _vertex_ends(self) -> Iterator[tuple[int, int]]:
+        """The two end rows of each qubit in qubit order, by row of d1; an
+        open end is ``len(interior_vertices)``, the terminal that stands for
+        every open vertex."""
+        row, terminal = self.vertex_row, len(self.interior_vertices)
+        edges = self.surface.edges
+        for ei in self.interior_edges:
+            e = edges[ei]
+            yield row.get(e.u, terminal), row.get(e.v, terminal)
 
     @cached_property
     def _d1_graph(self) -> list[list[tuple[int, int]]]:
         """The qubits as edges between their non-open end vertices (by row
         of d1); the terminal stands for every open vertex."""
-        row, terminal = self.vertex_row, len(self.interior_vertices)
-        edges = (self.surface.edges[ei] for ei in self.interior_edges)
-        return _graph(
-            terminal, ((row.get(e.u, terminal), row.get(e.v, terminal)) for e in edges)
-        )
+        return _graph(len(self.interior_vertices), self._vertex_ends())
 
     def _face_ends(self) -> Iterator[tuple[int, int]]:
         """The two faces of each qubit in qubit order, read from its row of
@@ -135,6 +149,23 @@ class ChainComplex:
         return _graph(self.face_count, self._face_ends())
 
     @cached_property
+    def _kappas(self) -> tuple[int, int]:
+        """The formula's two component counts, read off the complex: the
+        components of (V, non-open edges) with no open vertex (the open
+        vertices are those with no row of d1), and the components of (V, E)
+        with no closed boundary edge (the qubits whose d2 row has one bit)."""
+        s = self.surface
+        closed = (
+            s.edges[ei].u
+            for ei, bits in zip(self.interior_edges, self.d2.row_bits)
+            if not bits & (bits - 1)
+        )
+        return (
+            _kappa(len(self.interior_vertices), self._vertex_ends(), ()),
+            _kappa(s.vertex_count, ((e.u, e.v) for e in s.edges), closed),
+        )
+
+    @cached_property
     def h1(self) -> int:
         """dim H1 by the counting formula
 
@@ -145,13 +176,11 @@ class ChainComplex:
         ranks of the X and Z stabilizers (d2^T is the cheaper orientation to
         eliminate); a mismatch raises :class:`ModelingError`.
         """
-        s, cls = self.surface, self._classification
         formula = (
             -len(self.interior_vertices)
             + len(self.interior_edges)
             - self.face_count
-            + _kappa_no_open_vertex(s, cls)
-            + _kappa_no_closed_boundary_edge(s, cls)
+            + sum(self._kappas)
         )
         oracle = self.d1.cols - rank(self.d1) - rank(self._d2t)
         if formula != oracle:
@@ -162,31 +191,45 @@ class ChainComplex:
 
 
 def _build_unchecked(s: Surface) -> ChainComplex:
-    cls = _classify_unchecked(s)
-    interior_vertices = tuple(sorted(cls.interior_vertices))
-    interior_edges = tuple(sorted(cls.interior_edges))
-    edge_pos = {e: i for i, e in enumerate(interior_edges)}
-    vert_pos = {v: i for i, v in enumerate(interior_vertices)}
-
-    d2_rows = [0] * len(interior_edges)
+    """d1, d2 and d2^T in one pass over the cells.  Each vertex gets its row
+    of d1, each open vertex the spare row ``len(interior_vertices)``; each
+    edge gets its qubit position, each open edge the spare position ``n``.
+    The spare row and position are dropped."""
+    edges = s.edges
+    opened = [False] * s.vertex_count
+    for e in edges:
+        if e.open:
+            opened[e.u] = opened[e.v] = True
+    interior_vertices = tuple(v for v, o in enumerate(opened) if not o)
+    interior_edges = tuple(ei for ei, e in enumerate(edges) if not e.open)
+    spare_row, n = len(interior_vertices), len(interior_edges)
+    row = [spare_row] * s.vertex_count
+    for r, v in enumerate(interior_vertices):
+        row[v] = r
+    pos = [n] * len(edges)
+    d1_rows = [0] * (spare_row + 1)
+    for p, ei in enumerate(interior_edges):
+        pos[ei] = p
+        e = edges[ei]
+        d1_rows[row[e.u]] |= 1 << p
+        d1_rows[row[e.v]] |= 1 << p
+    d2_rows = [0] * (n + 1)
+    d2t_rows = []
+    qubits = (1 << n) - 1
     for fi, face in enumerate(s.faces):
+        bits = 0
         for ei in face:
-            if ei in edge_pos:
-                d2_rows[edge_pos[ei]] |= 1 << fi
-    d2 = BinaryMatrix(len(interior_edges), len(s.faces), tuple(d2_rows))
-
-    d1_rows = [0] * len(interior_vertices)
-    for ei in interior_edges:
-        e = s.edges[ei]
-        col = edge_pos[ei]
-        for w in (e.u, e.v):
-            if w in vert_pos:
-                d1_rows[vert_pos[w]] |= 1 << col
-    d1 = BinaryMatrix(len(interior_vertices), len(interior_edges), tuple(d1_rows))
+            p = pos[ei]
+            d2_rows[p] |= 1 << fi
+            bits |= 1 << p
+        d2t_rows.append(bits & qubits)
+    d1 = BinaryMatrix(spare_row, n, tuple(d1_rows[:-1]))
+    d2 = BinaryMatrix(n, len(s.faces), tuple(d2_rows[:-1]))
+    d2t = BinaryMatrix(len(s.faces), n, tuple(d2t_rows))
 
     if not d1.matmul(d2).is_zero():
         raise ModelingError("d1 @ d2 != 0: boundary maps do not compose to zero")
-    return ChainComplex(d2, d1, interior_vertices, interior_edges, len(s.faces), s, cls)
+    return ChainComplex(d2, d1, interior_vertices, interior_edges, len(s.faces), s, d2t)
 
 
 def boundary_maps(s: Surface) -> ChainComplex:
@@ -210,13 +253,8 @@ def _complex(s: Surface | ChainComplex) -> ChainComplex:
 def cycle_space_dim(s: Surface) -> int:
     """dim ker d1 = |non-open edges| - |non-open vertices| + (components of the
     interior graph containing no open vertex)."""
-    require_valid(s)
-    cls = _classify_unchecked(s)
-    return (
-        len(cls.interior_edges)
-        - len(cls.interior_vertices)
-        + _kappa_no_open_vertex(s, cls)
-    )
+    cx = boundary_maps(s)
+    return len(cx.interior_edges) - len(cx.interior_vertices) + cx._kappas[0]
 
 
 def h1_dim_oracle(s: Surface | ChainComplex) -> int:

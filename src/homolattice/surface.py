@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from .errors import InvalidSurfaceError, OutOfDomainError
 
@@ -179,24 +181,6 @@ class BoundaryClassification:
         return frozenset(range(s.vertex_count)) - self.boundary_vertices
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 def _edge_faces(s: Surface) -> list[list[int]]:
     """For each edge index, the list of faces containing it (in face order)."""
     incidence: list[list[int]] = [[] for _ in s.edges]
@@ -285,8 +269,11 @@ def _check(s: Surface) -> ValidationReport:
     gives the base report."""
     out: list[Violation] = []
 
-    if s.vertex_count < 0:
-        out.append(Violation("bad-vertex-count", (), f"vertex_count = {s.vertex_count}"))
+    if not 0 <= s.vertex_count <= 2 * len(s.edges):
+        # Above twice the edge count some vertex has no incident edge: that
+        # is said once, before any per-vertex list is set up.
+        bound = "" if s.vertex_count < 0 else f" > 2 x {len(s.edges)} edges"
+        out.append(Violation("bad-vertex-count", (), f"vertex_count = {s.vertex_count}{bound}"))
         return ValidationReport(tuple(out))
     if s.coords is not None and len(s.coords) != s.vertex_count:
         out.append(
@@ -448,45 +435,24 @@ def require_valid(s: Surface, strict: frozenset[str] | set[str] = frozenset()) -
 
 
 def _classify_unchecked(s: Surface) -> BoundaryClassification:
-    incidence = _edge_faces(s)
-    boundary_edges = frozenset(ei for ei, fs in enumerate(incidence) if len(fs) == 1)
+    boundary_edges = frozenset(ei for ei, fs in enumerate(_edge_faces(s)) if len(fs) == 1)
     open_edges = frozenset(ei for ei, e in enumerate(s.edges) if e.open)
-    closed_edges = boundary_edges - open_edges
 
-    boundary_vertices = set()
-    open_vertices = set()
-    for ei in boundary_edges:
-        e = s.edges[ei]
-        boundary_vertices.update((e.u, e.v))
-    for ei in open_edges:
-        e = s.edges[ei]
-        open_vertices.update((e.u, e.v))
-    boundary_vertices = frozenset(boundary_vertices)
-    open_vertices = frozenset(open_vertices)
+    def cells(eis: frozenset[int]) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
+        """The vertices, edges and faces that ``eis`` reach."""
+        ends = frozenset(w for ei in eis for w in s.edges[ei].endpoints())
+        faces = frozenset(fi for fi, face in enumerate(s.faces) if not eis.isdisjoint(face))
+        return ends, eis, faces
 
-    boundary_faces = frozenset(
-        fi for fi, face in enumerate(s.faces) if any(ei in boundary_edges for ei in face)
-    )
-    open_faces = frozenset(
-        fi for fi, face in enumerate(s.faces) if any(ei in open_edges for ei in face)
-    )
-
-    all_v = frozenset(range(s.vertex_count))
-    all_e = frozenset(range(len(s.edges)))
-    all_f = frozenset(range(len(s.faces)))
+    boundary, opened = cells(boundary_edges), cells(open_edges)
+    counts = (s.vertex_count, len(s.edges), len(s.faces))
+    # Fields in order: boundary, open, closed, interior; each vertices,
+    # edges, faces.
     return BoundaryClassification(
-        boundary_vertices=boundary_vertices,
-        boundary_edges=boundary_edges,
-        boundary_faces=boundary_faces,
-        open_vertices=open_vertices,
-        open_edges=open_edges,
-        open_faces=open_faces,
-        closed_vertices=boundary_vertices - open_vertices,
-        closed_edges=closed_edges,
-        closed_faces=boundary_faces - open_faces,
-        interior_vertices=all_v - open_vertices,
-        interior_edges=all_e - open_edges,
-        interior_faces=all_f - open_faces,
+        *boundary,
+        *opened,
+        *(b - o for b, o in zip(boundary, opened)),
+        *(frozenset(range(c)) - o for c, o in zip(counts, opened)),
     )
 
 
@@ -496,35 +462,42 @@ def classify_boundary(s: Surface) -> BoundaryClassification:
     return _classify_unchecked(s)
 
 
-def _kappa_no_open_vertex(s: Surface, cls: BoundaryClassification) -> int:
-    uf = _UnionFind(s.vertex_count)
-    for ei in cls.interior_edges:
-        e = s.edges[ei]
-        uf.union(e.u, e.v)
-    tainted = {uf.find(v) for v in cls.open_vertices}
-    roots = {uf.find(v) for v in range(s.vertex_count)}
-    return len(roots - tainted)
+def _kappa(nodes: int, pairs: Iterable[tuple[int, int]], tainted: Iterable[int]) -> int:
+    """Components of the graph on ``nodes`` nodes (one edge per pair) that
+    contain no ``tainted`` node, by a list-based union-find with path
+    halving.  Node ``nodes`` is an extra terminal that every tainted node is
+    joined to, and a pair may name it too; its component is not counted."""
+    parent = list(range(nodes + 1))
+    count = nodes + 1
+    for a, b in chain(pairs, ((v, nodes) for v in tainted)):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[b] = a
+            count -= 1
+    return count - 1
 
 
 def kappa_no_open_vertex(s: Surface) -> int:
     """Components of the interior graph (V, non-open edges) with no open vertex."""
     require_valid(s)
-    return _kappa_no_open_vertex(s, _classify_unchecked(s))
-
-
-def _kappa_no_closed_boundary_edge(s: Surface, cls: BoundaryClassification) -> int:
-    uf = _UnionFind(s.vertex_count)
-    for e in s.edges:
-        uf.union(e.u, e.v)
-    tainted = {uf.find(s.edges[ei].u) for ei in cls.closed_edges}
-    roots = {uf.find(v) for v in range(s.vertex_count)}
-    return len(roots - tainted)
+    return _kappa(
+        s.vertex_count,
+        ((e.u, e.v) for e in s.edges if not e.open),
+        (w for e in s.edges if e.open for w in (e.u, e.v)),
+    )
 
 
 def kappa_no_closed_boundary_edge(s: Surface) -> int:
     """Components of the full graph (V, E) containing no closed boundary edge."""
     require_valid(s)
-    return _kappa_no_closed_boundary_edge(s, _classify_unchecked(s))
+    return _kappa(
+        s.vertex_count,
+        ((e.u, e.v) for e in s.edges),
+        (e.u for e, fs in zip(s.edges, _edge_faces(s)) if len(fs) == 1 and not e.open),
+    )
 
 
 def canonicalize(s: Surface) -> tuple[Surface, list[int], list[int]]:

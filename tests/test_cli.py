@@ -16,6 +16,7 @@ import homolattice
 from conftest import count_calls, count_validations, square
 from homolattice import (
     ArchSpec,
+    BinaryMatrix,
     Edge,
     Surface,
     evaluate,
@@ -114,6 +115,15 @@ def test_validate_reports_violations(tmp_path, capsys):
     save_surface(Surface(2, (Edge(0, 0),), ()), bad)
     assert main(["validate", str(bad)]) == 1
     assert "loop-edge" in capsys.readouterr().out
+
+
+def test_validate_reports_a_hostile_vertex_count_once(tmp_path, capsys):
+    # A billion vertices on one triangle: one line, with no per-vertex work.
+    bad = tmp_path / "many.json"
+    save_surface(Surface.build(10**9, [(0, 1), (1, 2), (2, 0)], [(0, 1, 2)]), bad)
+    assert main(["validate", str(bad)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1 and out[0].startswith("bad-vertex-count[]")
 
 
 def test_validate_strict_flag_adds_the_strict_tier(tmp_path, capsys):
@@ -546,15 +556,24 @@ def test_evaluate_runs_the_validation_body_once(monkeypatch):
 
 
 def test_evaluate_classifies_ranks_and_builds_graphs_once(monkeypatch):
-    # The complex keeps the classification its build computed, h1's check
-    # ranks d1 and d2^T once each (logical_count adds none), and both sides'
-    # searches walk the complex's two graphs, the X side taking them swapped.
+    # The build fills d1, d2 and d2^T in one pass with no classification
+    # and no transpose, h1's check ranks d1 and d2^T once each
+    # (logical_count adds none), and both sides' searches walk the
+    # complex's two graphs, the X side taking them swapped.
     spec = ArchSpec("mixed-diamond-hole", h=2, h2=2, t=2)
     s = generate(spec)
     classifications = count_calls(monkeypatch, homolattice.surface._classify_unchecked)
     ranks = count_calls(monkeypatch, homolattice.f2.rank)
+    transposes: list = []
+    transpose = BinaryMatrix.transpose
+
+    def counting_transpose(m):
+        transposes.append(m)
+        return transpose(m)
+
+    monkeypatch.setattr(BinaryMatrix, "transpose", counting_transpose)
     assert evaluate(spec, compute_distance=True).match
-    assert (len(classifications), len(ranks)) == (1, 2)
+    assert (len(classifications), len(transposes), len(ranks)) == (0, 0, 2)
     graphs = count_calls(monkeypatch, homolattice.homology._graph)
     assert evaluate(spec, compute_distance=True).match
     assert len(graphs) == 2

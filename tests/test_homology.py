@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 import homolattice.homology
-from conftest import CORPUS, CORPUS_IDS, square, surface_code_patch
+from conftest import (
+    CORPUS,
+    CORPUS_IDS,
+    klein_bottle,
+    random_surface,
+    square,
+    surface_code_patch,
+)
 from homolattice import (
     BitVector,
     DimensionError,
@@ -20,6 +29,8 @@ from homolattice import (
     h1_dim_oracle,
     is_relative_cycle,
     is_trivial_cycle,
+    kappa_no_closed_boundary_edge,
+    kappa_no_open_vertex,
     logical_count,
     rank,
 )
@@ -78,6 +89,27 @@ def test_chain_complex_shape_and_composition(name, s):
     assert cx.d1.cols == cx.d2.rows == len(cx.interior_edges)
     assert cx.d2.cols == cx.face_count == s.face_count
     assert cx.d1.matmul(cx.d2).is_zero()
+
+
+_rng = random.Random(20261019)
+ONE_PASS = [
+    *CORPUS,
+    *((f"random{i}", random_surface(_rng)) for i in range(12)),
+    *((f"klein{L}", klein_bottle(L)) for L in range(3, 7)),
+]
+
+
+@pytest.mark.parametrize(("name", "s"), ONE_PASS, ids=[name for name, _ in ONE_PASS])
+def test_one_pass_complex_matches_the_definitions(name, s):
+    # The build reads no classification and transposes nothing, so each
+    # thing it derives is compared with its definition.
+    cx = boundary_maps(s)
+    cls = classify_boundary(s)
+    assert cx._d2t == cx.d2.transpose()
+    assert cx.interior_vertices == tuple(sorted(cls.interior_vertices))
+    assert cx.interior_edges == tuple(sorted(cls.interior_edges))
+    assert cx._classification == cls
+    assert cx._kappas == (kappa_no_open_vertex(s), kappa_no_closed_boundary_edge(s))
 
 
 @pytest.mark.parametrize(("name", "s"), CORPUS, ids=CORPUS_IDS)

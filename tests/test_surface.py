@@ -99,6 +99,18 @@ def test_violation_bad_vertex_count():
     assert codes(validate(s)) == {"bad-vertex-count"}
 
 
+def test_vertex_count_beyond_twice_the_edges_is_one_violation():
+    # Each edge covers two vertices, so some vertex is isolated; it is
+    # reported once, before any per-vertex list is set up.
+    s = Surface.build(10**9, [(0, 1), (1, 2), (2, 0)], [(0, 1, 2)])
+    report = validate(s)
+    assert codes(report) == {"bad-vertex-count"}
+    assert len(report.violations) == 1
+    # At the bound itself the isolated vertices are still named one by one.
+    assert codes(validate(Surface(6, s.edges, s.faces))) == {"isolated-vertex"}
+    assert validate(Surface(3, s.edges, s.faces)).ok
+
+
 def test_violation_coords_length():
     s = square()
     bad = Surface(s.vertex_count, s.edges, s.faces, ((0.0, 0.0),))
