@@ -142,7 +142,11 @@ def _cmd_distance(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    entries = json.loads(Path(args.spec_file).read_text(encoding="utf-8"))
+    data = Path(args.spec_file).read_bytes()
+    try:
+        entries = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise HomolatticeError(f"spec file is not readable JSON: {exc}") from exc
     if not isinstance(entries, list):
         raise HomolatticeError("spec file must hold a JSON array of objects")
     specs = []
@@ -244,7 +248,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (HomolatticeError, OSError, json.JSONDecodeError) as exc:
+    except (HomolatticeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

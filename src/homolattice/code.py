@@ -8,10 +8,12 @@ complex; Z distances are minimum weights of non-trivial relative cycles of
 the surface and X distances the same on its dual, taken on the transposed
 complex (d2^T, d1) rather than on a dual surface.  Only
 ``logical_basis_generic`` builds the dual surface, because its X
-representatives are taken in the dual's own qubit order.
+representatives are taken in the dual's own qubit order; ``dualize`` reads
+that dual off the same complex.
 
 Every public function accepts a surface or its ``boundary_maps`` complex,
-which validates, classifies and counts the surface once for all calls.  The
+which validates and counts the surface once for all calls; none of them
+classifies the boundary.  The
 logical count's cross-check against the stabilizer ranks lives in the
 complex's ``h1``; the search graphs of both sides are the complex's graphs
 of d1 and d2^T, the X side taking the pair swapped.
@@ -53,8 +55,8 @@ from .f2 import (
     symplectic_pairing,
 )
 from .dual import dualize
-from .homology import ChainComplex, _build_unchecked, _complex, h1_dim
-from .surface import STRICT_ALL, Surface, require_valid
+from .homology import ChainComplex, _build_unchecked, _complex, _graph, h1_dim
+from .surface import STRICT_ALL, Surface, _roots, require_valid
 
 __all__ = [
     "CssCode",
@@ -501,13 +503,14 @@ def logical_basis_generic(s: Surface | ChainComplex) -> LogicalBasis:
     identity.  k always equals dim H1.
 
     The X quotient is reduced in the dual's own qubit order, so this is the
-    one analysis that builds the dual surface.
+    one analysis that builds the dual surface, which :func:`dualize` reads
+    off this same complex.
 
     Raises:
         InvalidSurfaceError: if ``s`` is not strictly valid.
     """
     cx = _complex(s)
-    dual, corr = dualize(cx.surface)
+    dual, corr = dualize(cx)
     dcx = _build_unchecked(dual)  # dualize has validated the dual strictly
     n = len(cx.interior_edges)
     if n != len(dcx.interior_edges):
@@ -532,60 +535,14 @@ def logical_basis_generic(s: Surface | ChainComplex) -> LogicalBasis:
     return LogicalBasis(pairs=tuple(pairs))
 
 
-def _boundary_holes(cx: ChainComplex) -> list[list[int]]:
-    """Boundary rims as edge cycles in walk order, one list per hole,
-    ordered by smallest member edge index (each hole is seeded at its
-    smallest edge, since the seeds ascend)."""
-    s = cx.surface
-    boundary = sorted(cx._classification.boundary_edges)
-    at_vertex: dict[int, list[int]] = {}
-    for ei in boundary:
-        e = s.edges[ei]
-        at_vertex.setdefault(e.u, []).append(ei)
-        at_vertex.setdefault(e.v, []).append(ei)
-    holes: list[list[int]] = []
-    unused = set(boundary)
-    for seed in boundary:
-        if seed not in unused:
-            continue
-        e = s.edges[seed]
-        walk = [seed]
-        unused.discard(seed)
-        cur_vertex = min(e.u, e.v)
-        while True:
-            (nxt,) = [x for x in at_vertex[cur_vertex] if x != walk[-1]]
-            if nxt == seed:
-                break
-            walk.append(nxt)
-            unused.discard(nxt)
-            cur_vertex = s.edges[nxt].other(cur_vertex)
-        holes.append(walk)
-    return holes
-
-
-def _rim_runs(s: Surface, walk: list[int]) -> list[list[int]]:
-    """Maximal runs of consecutive non-open edges in a cyclic rim walk."""
-    flags = [s.edges[ei].open for ei in walk]
-    if all(flags):
-        return []
-    if not any(flags):
-        return [list(walk)]
-    # Rotate so position 0 starts right after an open edge, then group
-    # consecutive non-open edges.
-    start = next(i for i in range(len(walk)) if flags[i - 1] and not flags[i])
-    rotated = walk[start:] + walk[:start]
-    runs: list[list[int]] = []
-    current: list[int] = []
-    for ei in rotated:
-        if s.edges[ei].open:
-            if current:
-                runs.append(current)
-                current = []
-        else:
-            current.append(ei)
-    if current:
-        runs.append(current)
-    return runs
+def _groups(s: Surface, eis: list[int]) -> list[list[int]]:
+    """The components of the ascending edges ``eis``, joined where they
+    share a vertex: each ascending, ordered by smallest edge."""
+    root = _roots(s.vertex_count, (s.edges[ei].endpoints() for ei in eis))
+    groups: dict[int, list[int]] = {}
+    for ei in eis:
+        groups.setdefault(root[s.edges[ei].u], []).append(ei)
+    return list(groups.values())
 
 
 def _bfs_path(
@@ -632,13 +589,17 @@ def logical_basis_boundary_strategy(s: Surface | ChainComplex) -> LogicalBasis:
     vertex set.  The raw pairing matrix is block-triangular with identity
     blocks, so symplectic normalization always succeeds.
 
-    The dual paths run on the graph of d2^T, read from the faces of each
-    qubit as the complex's graph of d2^T is, so no dual surface is built.
-    Its nodes are the faces (the dual's vertices, same numbers) and one end
-    per closed boundary edge, numbered from F on in qubit order (the dual's
-    open vertices, same numbers); each node's neighbours are in node order,
-    which is the canonical dual's edge order, so the paths are the ones a
-    BFS on the dual surface finds.
+    Everything is read off the complex, with no boundary classification
+    and no dual surface.  The rims are grouped, not walked: the holes are
+    the components of the boundary edges (the closed ones, which
+    ``ChainComplex._dual_ends`` gives an end node, plus the open ones) and
+    the runs are the components of the closed boundary edges, both ordered
+    by smallest edge.  Every boundary vertex has exactly two boundary edges,
+    so two runs never share a vertex.  The dual paths run on the graph of
+    the qubits' dual ends, whose nodes are the dual's vertices with the
+    same numbers; each node's neighbours are in node order, which is the
+    canonical dual's edge order, so the paths are the ones a BFS on the
+    dual surface finds.
 
     Raises:
         InvalidSurfaceError: if ``s`` is not strictly valid.
@@ -649,14 +610,13 @@ def logical_basis_boundary_strategy(s: Surface | ChainComplex) -> LogicalBasis:
     s = cx.surface
     require_valid(s, STRICT_ALL)
     k = h1_dim(cx)
-    holes = _boundary_holes(cx)
-    runs: list[list[int]] = []
-    for walk in holes:
-        runs.extend(_rim_runs(s, walk))
-    runs.sort(key=min)
-    open_holes = [
-        walk for walk in holes if any(s.edges[ei].open for ei in walk)
-    ]
+    ends = list(cx._dual_ends())
+    end_of = {
+        ei: v for ei, (_, v) in zip(cx.interior_edges, ends) if v >= cx.face_count
+    }
+    runs = _groups(s, list(end_of))
+    holes = _groups(s, sorted([*end_of, *(ei for ei, e in enumerate(s.edges) if e.open)]))
+    open_holes = [hole for hole in holes if any(s.edges[ei].open for ei in hole)]
     lc = len(runs)
     bo = len(open_holes)
     expected = (lc - 1 if lc >= 1 else 0) + (bo - 1 if bo >= 1 else 0)
@@ -674,14 +634,7 @@ def logical_basis_boundary_strategy(s: Surface | ChainComplex) -> LogicalBasis:
     x_ops: list[BitVector] = []
 
     if lc >= 1:
-        dual_adj: list[list[tuple[int, int]]] = [[] for _ in range(cx.face_count)]
-        end_of: dict[int, int] = {}
-        for pos, (u, v) in enumerate(cx._face_ends()):
-            if v == cx.face_count:  # a closed boundary edge ends at its own node
-                end_of[cx.interior_edges[pos]] = v = len(dual_adj)
-                dual_adj.append([])
-            dual_adj[u].append((v, pos))
-            dual_adj[v].append((u, pos))
+        dual_adj = _graph(cx.face_count + len(end_of), ends)
         for neighbours in dual_adj:
             neighbours.sort()
         run_terminals = [[end_of[ei] for ei in run] for run in runs]
@@ -703,10 +656,10 @@ def logical_basis_boundary_strategy(s: Surface | ChainComplex) -> LogicalBasis:
             adj[e.v].append((e.u, ei))
         open_vertex_sets = []
         rim_vertex_sets = []
-        for walk in open_holes:
+        for hole in open_holes:
             ov = set()
             rv = set()
-            for ei in walk:
+            for ei in hole:
                 e = s.edges[ei]
                 rv.update((e.u, e.v))
                 if e.open:

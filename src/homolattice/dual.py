@@ -17,6 +17,14 @@
 Both strict validation flags are prerequisites: girth >= 3 keeps the dual
 graph simple, and the distance-one guard keeps every dual edge inside at
 least one dual face.  Under those flags the dual is itself strictly valid.
+
+The dual is read off the relative chain complex of G, with no boundary
+classification.  ``ChainComplex._dual_ends`` numbers the dual's vertices
+(the faces, then one end node per closed boundary edge in qubit order),
+the non-open dual edges are the qubits, and each dual face is the support
+of a row of d1.  So the dual's (d1, d2^T) is G's (d2^T, d1) up to cell
+order: the X side of the code.  Only :func:`check_correspondences`
+classifies both surfaces, to check the result independently.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ModelingError, OutOfDomainError
+from .homology import ChainComplex, _build_unchecked
 from .surface import (
     STRICT_ALL,
     Edge,
@@ -55,14 +64,6 @@ class DualCorrespondence:
     closed_boundary_vertex_to_dual_open_edge: dict[int, int]
     interior_vertex_to_dual_face: dict[int, int]
     closed_boundary_vertex_to_dual_open_face: dict[int, int]
-
-
-def _edges_at_vertices(s: Surface) -> list[list[int]]:
-    at: list[list[int]] = [[] for _ in range(s.vertex_count)]
-    for ei, e in enumerate(s.edges):
-        at[e.u].append(ei)
-        at[e.v].append(ei)
-    return at
 
 
 def local_dual_cycle(s: Surface, v: int) -> list[tuple[str, int]]:
@@ -123,89 +124,71 @@ def local_dual_cycle(s: Surface, v: int) -> list[tuple[str, int]]:
         prev_edge = out_edge
 
 
-def dualize(s: Surface) -> tuple[Surface, DualCorrespondence]:
+def dualize(s: Surface | ChainComplex) -> tuple[Surface, DualCorrespondence]:
     """Construct the dual surface and the cell-class correspondence maps.
 
-    Requires ``s`` to validate with both strict flags; the returned dual is
-    canonicalized (so its JSON form is stable) and is itself strictly valid.
+    Requires the surface to validate with both strict flags.  The dual is
+    read off its chain complex, with no boundary classification: one
+    non-open dual edge per qubit between its two dual ends (see
+    ``ChainComplex._dual_ends``, which numbers the dual's vertices), one
+    open dual edge per closed boundary vertex joining the end nodes of its
+    two closed boundary edges, and one dual face per non-open vertex: the
+    support of its row of d1, closed by its open dual edge if it has one.
+    The returned dual is canonicalized (so its JSON form is stable) and is
+    itself strictly valid.
 
     Raises:
-        InvalidSurfaceError: if ``s`` fails strict validation.
+        InvalidSurfaceError: if the surface fails strict validation.
         ModelingError: if the constructed dual fails its own validation (a
             loop, a parallel edge or any other defect) — impossible on
             strictly valid input.
     """
-    require_valid(s, STRICT_ALL)
-    cls = _classify_unchecked(s)
-    incidence = _edge_faces(s)
-    edges_at = _edges_at_vertices(s)
+    primal = s.surface if isinstance(s, ChainComplex) else s
+    require_valid(primal, STRICT_ALL)
+    cx = s if isinstance(s, ChainComplex) else _build_unchecked(s)
+    n_faces = cx.face_count
 
-    n_faces = len(s.faces)
-    closed_edges = sorted(cls.closed_edges)
-    dual_vertex_of_edge = {e: n_faces + i for i, e in enumerate(closed_edges)}
-    dual_vertex_count = n_faces + len(closed_edges)
-
-    closed_vertices = sorted(cls.closed_vertices)
-    interior_edges = sorted(cls.interior_edges)
-
+    # Raw dual edge i is the dual edge of qubit i; the open ones follow.
     raw_edges: list[Edge] = []
-    dual_edge_of_edge: dict[int, int] = {}
-    for ei in interior_edges:
-        fs = incidence[ei]
-        if len(fs) == 2:
-            a, b = fs
-        else:
-            (a,) = fs
-            b_vertex = dual_vertex_of_edge[ei]
-            a, b = a, b_vertex
-        dual_edge_of_edge[ei] = len(raw_edges)
-        raw_edges.append(Edge(min(a, b), max(a, b), False))
-
-    dual_edge_of_vertex: dict[int, int] = {}
-    for v in closed_vertices:
-        pair = sorted(ei for ei in edges_at[v] if len(incidence[ei]) == 1)
-        a, b = (dual_vertex_of_edge[pair[0]], dual_vertex_of_edge[pair[1]])
-        dual_edge_of_vertex[v] = len(raw_edges)
-        raw_edges.append(Edge(min(a, b), max(a, b), True))
-
-    nonboundary = [
-        v
-        for v in range(s.vertex_count)
-        if v not in cls.boundary_vertices
+    end_of_edge: dict[int, int] = {}  # closed boundary edge -> dual open vertex
+    ends_at: dict[int, list[int]] = {}  # closed boundary vertex -> its two ends
+    for ei, (a, b) in zip(cx.interior_edges, cx._dual_ends()):
+        raw_edges.append(Edge(a, b, False))
+        if b >= n_faces:
+            end_of_edge[ei] = b
+            for w in primal.edges[ei].endpoints():
+                if w in cx.vertex_row:
+                    ends_at.setdefault(w, []).append(b)
+    open_edge_of_vertex: dict[int, int] = {}
+    for v in sorted(ends_at):
+        open_edge_of_vertex[v] = len(raw_edges)
+        raw_edges.append(Edge(*ends_at[v], True))
+    # Raw dual face r is the dual face of the non-open vertex of row r.
+    raw_faces = [
+        cx.d1.row(r).support + ((open_edge_of_vertex[v],) if v in open_edge_of_vertex else ())
+        for r, v in enumerate(cx.interior_vertices)
     ]
-    raw_faces: list[tuple[int, ...]] = []
-    dual_face_of_vertex: dict[int, int] = {}
-    for v in nonboundary:
-        dual_face_of_vertex[v] = len(raw_faces)
-        raw_faces.append(tuple(dual_edge_of_edge[ei] for ei in sorted(edges_at[v])))
-    dual_open_face_of_vertex: dict[int, int] = {}
-    for v in closed_vertices:
-        dual_open_face_of_vertex[v] = len(raw_faces)
-        raw_faces.append(
-            tuple(dual_edge_of_edge[ei] for ei in sorted(edges_at[v]))
-            + (dual_edge_of_vertex[v],)
-        )
 
     coords = None
-    if s.coords is not None:
+    if primal.coords is not None:
         face_centroids = []
-        for face in s.faces:
-            verts = sorted({w for ei in face for w in s.edges[ei].endpoints()})
-            xs = [s.coords[w][0] for w in verts]
-            ys = [s.coords[w][1] for w in verts]
+        for face in primal.faces:
+            verts = sorted({w for ei in face for w in primal.edges[ei].endpoints()})
+            xs = [primal.coords[w][0] for w in verts]
+            ys = [primal.coords[w][1] for w in verts]
             face_centroids.append((sum(xs) / len(xs), sum(ys) / len(ys)))
         edge_mids = []
-        for ei in closed_edges:
-            e = s.edges[ei]
+        for ei in end_of_edge:
+            e = primal.edges[ei]
             edge_mids.append(
                 (
-                    (s.coords[e.u][0] + s.coords[e.v][0]) / 2,
-                    (s.coords[e.u][1] + s.coords[e.v][1]) / 2,
+                    (primal.coords[e.u][0] + primal.coords[e.v][0]) / 2,
+                    (primal.coords[e.u][1] + primal.coords[e.v][1]) / 2,
                 )
             )
         coords = tuple(face_centroids + edge_mids)
 
-    raw = Surface(dual_vertex_count, tuple(raw_edges), tuple(raw_faces), coords)
+    raw = Surface(n_faces + len(end_of_edge), tuple(raw_edges), tuple(raw_faces), coords)
     dual, edge_map, face_map = canonicalize(raw)
 
     report = validate(dual, STRICT_ALL)
@@ -214,21 +197,20 @@ def dualize(s: Surface) -> tuple[Surface, DualCorrespondence]:
 
     corr = DualCorrespondence(
         face_to_dual_vertex={f: f for f in range(n_faces)},
-        closed_boundary_edge_to_dual_open_vertex=dict(
-            sorted(dual_vertex_of_edge.items())
-        ),
+        closed_boundary_edge_to_dual_open_vertex=end_of_edge,
         interior_edge_to_dual_edge={
-            ei: edge_map[raw_idx] for ei, raw_idx in sorted(dual_edge_of_edge.items())
+            ei: edge_map[pos] for pos, ei in enumerate(cx.interior_edges)
         },
         closed_boundary_vertex_to_dual_open_edge={
-            v: edge_map[raw_idx] for v, raw_idx in sorted(dual_edge_of_vertex.items())
+            v: edge_map[raw_idx] for v, raw_idx in open_edge_of_vertex.items()
         },
         interior_vertex_to_dual_face={
-            v: face_map[raw_idx] for v, raw_idx in sorted(dual_face_of_vertex.items())
+            v: face_map[r]
+            for r, v in enumerate(cx.interior_vertices)
+            if v not in open_edge_of_vertex
         },
         closed_boundary_vertex_to_dual_open_face={
-            v: face_map[raw_idx]
-            for v, raw_idx in sorted(dual_open_face_of_vertex.items())
+            v: face_map[cx.vertex_row[v]] for v in open_edge_of_vertex
         },
     )
     return dual, corr

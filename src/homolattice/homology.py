@@ -24,10 +24,11 @@ The :class:`ChainComplex` that :func:`boundary_maps` returns is the analysis
 of its surface: every homology and code function accepts it in place of the
 surface.  One pass over the cells fills d1, d2 and d2^T together, with no
 boundary classification and no transpose.  Everything else derived from the
-surface is computed on demand, once per complex: dim H1, the graphs of d1
-and d2^T that the distance search walks, and the boundary classification,
-which only the boundary strategy's hole walk reads.  The dual's side is
-read off this complex as (d2^T, d1), so no dual surface is built.
+surface is computed on demand, once per complex: dim H1 and the graphs of
+d1 and d2^T that the distance search walks.  The complex also holds the
+dual: its X side (d2^T, d1) is the dual's (d1, d2^T) up to cell order, and
+``_dual_ends`` numbers the dual's vertices, so the dual surface itself is
+read off the complex by :func:`homolattice.dual.dualize`.
 """
 
 from __future__ import annotations
@@ -38,13 +39,7 @@ from functools import cached_property
 
 from .errors import ModelingError, OutOfDomainError
 from .f2 import BinaryMatrix, BitVector, in_span, rank
-from .surface import (
-    BoundaryClassification,
-    Surface,
-    _classify_unchecked,
-    _kappa,
-    require_valid,
-)
+from .surface import Surface, _kappa, require_valid
 
 __all__ = [
     "ChainComplex",
@@ -59,10 +54,9 @@ __all__ = [
 
 def _graph(nodes: int, ends: Iterable[tuple[int, int]]) -> list[list[tuple[int, int]]]:
     """Adjacency lists ``[(neighbour, qubit)]`` of the graph with ``nodes``
-    nodes plus a terminal (node ``nodes``) and one edge per qubit between
-    its two ``ends``; a missing end is given as the terminal (an edge with
-    both ends there is a loop)."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(nodes + 1)]
+    nodes and one edge per qubit between its two ``ends`` (an edge with both
+    ends at one node is a loop there)."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(nodes)]
     for pos, (u, v) in enumerate(ends):
         adj[u].append((v, pos))
         if v != u:
@@ -78,8 +72,8 @@ class ChainComplex:
     indices; position in these tuples is the row/column in ``d1`` and the row
     in ``d2``.  ``d2`` columns are indexed by face number directly.
     ``surface`` is the validated source and ``_d2t`` is d2^T, filled in by
-    the same pass over the cells as d1 and d2.  ``h1``, the graphs of d1 and
-    d2^T and the boundary classification are computed on demand and cached.
+    the same pass over the cells as d1 and d2.  ``h1`` and the graphs of d1
+    and d2^T are computed on demand and cached.
     """
 
     d2: BinaryMatrix
@@ -111,12 +105,6 @@ class ChainComplex:
         """Surface edge indices in the support of a chain vector."""
         return tuple(self.interior_edges[i] for i in z.support)
 
-    @cached_property
-    def _classification(self) -> BoundaryClassification:
-        """The surface's boundary classification, which only the boundary
-        strategy's hole walk reads."""
-        return _classify_unchecked(self.surface)
-
     def _vertex_ends(self) -> Iterator[tuple[int, int]]:
         """The two end rows of each qubit in qubit order, by row of d1; an
         open end is ``len(interior_vertices)``, the terminal that stands for
@@ -131,22 +119,31 @@ class ChainComplex:
     def _d1_graph(self) -> list[list[tuple[int, int]]]:
         """The qubits as edges between their non-open end vertices (by row
         of d1); the terminal stands for every open vertex."""
-        return _graph(len(self.interior_vertices), self._vertex_ends())
+        return _graph(len(self.interior_vertices) + 1, self._vertex_ends())
 
-    def _face_ends(self) -> Iterator[tuple[int, int]]:
-        """The two faces of each qubit in qubit order, read from its row of
-        d2, lower first; a closed boundary edge has one face, and its second
-        end is ``face_count``."""
+    def _dual_ends(self) -> Iterator[tuple[int, int]]:
+        """The two dual ends of each qubit in qubit order, read from its row
+        of d2: its two faces, lower first, or for a closed boundary edge its
+        one face and its own end node ``face_count + r``, where r is its
+        rank among the closed boundary edges.  These are the dual's vertex
+        numbers: the faces, then one open vertex per closed boundary edge."""
+        end = self.face_count
         for bits in self.d2.row_bits:
-            top = bits.bit_length() - 1
             low = (bits & -bits).bit_length() - 1
-            yield low, (top if top != low else self.face_count)
+            if bits & (bits - 1):
+                yield low, bits.bit_length() - 1
+            else:
+                yield low, end
+                end += 1
 
     @cached_property
     def _d2t_graph(self) -> list[list[tuple[int, int]]]:
-        """The qubits as edges between their faces (rows of d2^T); closed
-        boundary edges reach the terminal."""
-        return _graph(self.face_count, self._face_ends())
+        """The qubits as edges between their faces (rows of d2^T); the end
+        nodes of closed boundary edges are folded into the terminal."""
+        terminal = self.face_count
+        return _graph(
+            terminal + 1, ((u, min(v, terminal)) for u, v in self._dual_ends())
+        )
 
     @cached_property
     def _kappas(self) -> tuple[int, int]:

@@ -462,22 +462,30 @@ def classify_boundary(s: Surface) -> BoundaryClassification:
     return _classify_unchecked(s)
 
 
-def _kappa(nodes: int, pairs: Iterable[tuple[int, int]], tainted: Iterable[int]) -> int:
-    """Components of the graph on ``nodes`` nodes (one edge per pair) that
-    contain no ``tainted`` node, by a list-based union-find with path
-    halving.  Node ``nodes`` is an extra terminal that every tainted node is
-    joined to, and a pair may name it too; its component is not counted."""
-    parent = list(range(nodes + 1))
-    count = nodes + 1
-    for a, b in chain(pairs, ((v, nodes) for v in tainted)):
+def _roots(nodes: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """The root of each node's component in the graph on ``nodes`` nodes
+    with one edge per pair, by a list-based union-find with path halving."""
+    parent = list(range(nodes))
+    for a, b in pairs:
         while parent[a] != a:
             parent[a] = a = parent[parent[a]]
         while parent[b] != b:
             parent[b] = b = parent[parent[b]]
-        if a != b:
-            parent[b] = a
-            count -= 1
-    return count - 1
+        parent[b] = a
+    for v in range(nodes):
+        r = v
+        while parent[r] != r:
+            parent[r] = r = parent[parent[r]]
+        parent[v] = r
+    return parent
+
+
+def _kappa(nodes: int, pairs: Iterable[tuple[int, int]], tainted: Iterable[int]) -> int:
+    """Components of the graph on ``nodes`` nodes (one edge per pair) that
+    contain no ``tainted`` node.  Node ``nodes`` is an extra terminal that
+    every tainted node is joined to, and a pair may name it too; its
+    component is not counted."""
+    return len(set(_roots(nodes + 1, chain(pairs, ((v, nodes) for v in tainted))))) - 1
 
 
 def kappa_no_open_vertex(s: Surface) -> int:
@@ -612,9 +620,16 @@ def to_json(s: Surface) -> str:
 
 
 def from_json(text: str) -> Surface:
+    """Read a surface from JSON text (see :func:`from_json_dict`).
+
+    Raises:
+        InvalidSurfaceError: on text that does not parse, nests too deeply
+            or holds an integer too long to convert, or on a malformed
+            surface object.
+    """
     try:
         d = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InvalidSurfaceError(f"not valid JSON: {exc}") from exc
     if not isinstance(d, dict):
         raise InvalidSurfaceError("surface JSON must be an object")
@@ -627,8 +642,14 @@ def save_surface(s: Surface, path) -> None:
 
 
 def load_surface(path) -> Surface:
+    """Read a surface file; every unreadable file is an :class:`InvalidSurfaceError`."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return from_json(fh.read())
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise InvalidSurfaceError(f"cannot read {path}: {exc}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidSurfaceError(f"{path} is not UTF-8 text: {exc}") from exc
+    return from_json(text)

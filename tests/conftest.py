@@ -85,10 +85,16 @@ def cylinder(rows: int, cols: int, open_low: bool = False, open_high: bool = Fal
     return Surface.build((rows + 1) * cols, edges, faces)
 
 
-def klein_bottle(L: int) -> Surface:
+def klein_bottle(
+    L: int,
+    dropped: tuple[tuple[int, int], ...] = (),
+    opened: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = (),
+) -> Surface:
     """L x L square lattice whose rows wrap normally and whose top row is
     glued to the bottom row reversed, (L, j) = (0, -j): a Klein bottle,
-    built through the generators' build path."""
+    built through the generators' build path.  ``dropped`` names faces by
+    their lowest lattice point (i, j), which punches holes; ``opened`` names
+    edges by their two lattice points, which are marked open."""
     def vid(i: int, j: int) -> int:
         return i * L + j % L if i < L else -j % L
     edges: list[tuple[int, int]] = []
@@ -112,7 +118,30 @@ def klein_bottle(L: int) -> Surface:
         for j in range(L)
     }
     coords = [(float(j), float(i)) for i in range(L) for j in range(L)]
-    return _punch(edges, faces, coords)
+    return _punch(edges, faces, coords, set(dropped), {e(a, b) for a, b in opened})
+
+
+def _block(i0: int, i1: int, j0: int, j1: int) -> tuple[tuple[int, int], ...]:
+    return tuple((i, j) for i in range(i0, i1 + 1) for j in range(j0, j1 + 1))
+
+
+# The basis-roundtrip members of the benchmark (family, h, h2, t).
+ROUNDTRIP = (
+    ("mixed-diamond-hole", 2, 2, 3),
+    ("mixed-diamond-hole", 1, 5, 3),
+    ("mixed-diamond-hole", 2, 2, 5),
+    ("square-hole", 3, 3, 1),
+)
+
+
+# Klein bottles with holes: (name, L, dropped faces, opened edges).  The
+# first has one closed hole, the second two, and the third one hole whose
+# rim carries two open edges on opposite sides (two open runs).
+KLEIN_HOLES = [
+    ("klein6-hole", 6, _block(2, 3, 2, 3), ()),
+    ("klein8-two-holes", 8, _block(1, 2, 1, 2) + _block(5, 6, 5, 6), ()),
+    ("klein8-mixed-hole", 8, _block(2, 4, 2, 4), (((2, 3), (2, 4)), ((5, 3), (5, 4)))),
+]
 
 
 def open_sides(s: Surface, sides: set[str]) -> Surface:

@@ -18,8 +18,10 @@ from homolattice import (
     ArchSpec,
     BinaryMatrix,
     Edge,
+    InvalidSurfaceError,
     Surface,
     evaluate,
+    from_json,
     gen_torus,
     generate,
     h1_dim_oracle,
@@ -168,6 +170,48 @@ def test_mistyped_surface_json_exits_1(tmp_path, capsys, mutate):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert "malformed surface JSON" in err and "Traceback" not in err
+
+
+_UNREADABLE = {
+    "not-utf8": b"\xff\xfe{\x00}\x00",
+    "deep-nesting": b"[" * 10_000,
+    "long-integer": b"1" * 4301,
+}
+
+
+@pytest.mark.parametrize("content", _UNREADABLE.values(), ids=_UNREADABLE.keys())
+@pytest.mark.parametrize(
+    "verb",
+    [
+        ["validate"],
+        ["analyze"],
+        ["dualize", "-o", "d.json"],
+        ["logicals", "-o", "l.json"],
+        ["distance", "--side", "z"],
+        ["export-svg", "-o", "x.svg"],
+        ["compare"],
+    ],
+    ids=lambda verb: verb[0],
+)
+def test_unreadable_json_exits_1(tmp_path, capsys, verb, content):
+    # A file that is not UTF-8, nests too deeply or holds an integer too
+    # long to convert is an input error like any other, never a traceback.
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    args = [str(tmp_path / a) if a.endswith((".json", ".svg")) else a for a in verb[1:]]
+    if verb[0] == "compare":
+        argv = ["compare", "--spec-file", str(bad)]
+    else:
+        argv = [verb[0], str(bad), *args]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["[" * 10_000, "1" * 4301], ids=["deep-nesting", "long-integer"])
+def test_from_json_maps_unreadable_text_to_invalid_surface(text):
+    with pytest.raises(InvalidSurfaceError, match="not valid JSON"):
+        from_json(text)
 
 
 # ---------------------------------------------------------------------------
@@ -581,3 +625,24 @@ def test_evaluate_classifies_ranks_and_builds_graphs_once(monkeypatch):
     ranks.clear()
     assert logical_count(s) == h1_dim_oracle(s) == 11
     assert len(ranks) == 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dualize", "-o", "d.json"],
+        ["logicals", "--method", "boundary", "-o", "l.json"],
+        ["logicals", "--method", "generic", "-o", "l.json"],
+    ],
+    ids=["dualize", "logicals-boundary", "logicals-generic"],
+)
+def test_dual_verbs_classify_nothing(tmp_path, capsys, monkeypatch, argv):
+    # dualize reads the dual off the complex and the boundary strategy
+    # groups its rims from the complex's dual ends, so neither classifies.
+    path = tmp_path / "s.json"
+    save_surface(generate(ArchSpec("mixed-diamond-hole", h=2, h2=2, t=2)), path)
+    classifications = count_calls(monkeypatch, homolattice.surface._classify_unchecked)
+    out = [str(tmp_path / a) if a.endswith(".json") else a for a in argv[1:]]
+    assert main([argv[0], str(path), *out]) == 0
+    capsys.readouterr()
+    assert classifications == []

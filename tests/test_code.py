@@ -11,6 +11,8 @@ import pytest
 from conftest import (
     CORPUS,
     CORPUS_IDS,
+    KLEIN_HOLES,
+    ROUNDTRIP,
     STRICT_CORPUS,
     STRICT_CORPUS_IDS,
     klein_bottle,
@@ -34,6 +36,7 @@ from homolattice import (
     UnsupportedTopologyError,
     boundary_maps,
     build_css,
+    check_correspondences,
     classify_boundary,
     distance_bruteforce_oracle,
     distance_x,
@@ -178,6 +181,39 @@ def test_klein_bottle_counts_and_distances(L):
     assert distance_z(cx).d == distance_x(cx).d == L
     if L == 3:
         assert distance_z(cx, "brute").d == distance_x(cx, "brute").d == L
+
+
+# k and the two distances of each Klein bottle with holes.  The genus term
+# of a Klein bottle is 2 (non-orientable genus: one per cross-cap).
+KLEIN_HOLE_VALUES = {
+    "klein6-hole": (k_uniform(2, False, 1, 0), 2, 6, 5),
+    "klein8-two-holes": (k_uniform(2, False, 2, 0), 3, 8, 3),
+    "klein8-mixed-hole": (k_mixed(2, False, 1, 2), 3, 5, 4),
+}
+
+
+@pytest.mark.parametrize(
+    ("name", "L", "dropped", "opened"), KLEIN_HOLES, ids=[c[0] for c in KLEIN_HOLES]
+)
+def test_klein_bottle_with_holes(name, L, dropped, opened):
+    # Holes and open runs on a non-orientable surface: the count formulas
+    # with orientable=False, the generic basis, and the dual all hold, and
+    # the genus-0 boundary strategy refuses.
+    formula, k, d_z, d_x = KLEIN_HOLE_VALUES[name]
+    s = klein_bottle(L, dropped, opened)
+    assert validate(s, STRICT_ALL).ok
+    assert not _orientable(s)
+    cx = boundary_maps(s)
+    assert h1_dim(cx) == logical_count(cx) == h1_dim_oracle(cx) == formula == k
+    assert (distance_z(cx).d, distance_x(cx).d) == (d_z, d_x)
+    basis = logical_basis_generic(cx)
+    assert basis.k == k
+    verify_logical_basis(cx, basis)
+    with pytest.raises(UnsupportedTopologyError):
+        logical_basis_boundary_strategy(cx)
+    d, corr = dualize(cx)
+    assert check_correspondences(s, d, corr).ok
+    assert h1_dim(d) == k
 
 
 # ---------------------------------------------------------------------------
@@ -504,15 +540,6 @@ def test_generic_basis_requires_strict(extract):
         extract(square((0, 2)))
 
 
-# The basis-roundtrip members of the benchmark (family, h, h2, t).
-_ROUNDTRIP = (
-    ("mixed-diamond-hole", 2, 2, 3),
-    ("mixed-diamond-hole", 1, 5, 3),
-    ("mixed-diamond-hole", 2, 2, 5),
-    ("square-hole", 3, 3, 1),
-)
-
-
 def _relabel(s: Surface, rng: random.Random) -> Surface:
     """``s`` with its vertices, edges and faces renumbered, edge endpoints
     swapped and face cycles rotated or reversed at random."""
@@ -541,7 +568,7 @@ def test_logical_bases_are_pinned():
     # its X paths on the dual surface; the bases must stay bit-identical.
     rng = random.Random(20261018)
     members = list(STRICT_CORPUS)
-    for m in _ROUNDTRIP:
+    for m in ROUNDTRIP:
         name = "-".join(map(str, m))
         s = generate(ArchSpec(m[0], h=m[1], h2=m[2], t=m[3]))
         members.append((name, s))

@@ -3,13 +3,25 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 import random
 
 import pytest
 
-from conftest import CORPUS, STRICT_CORPUS, STRICT_CORPUS_IDS, random_surface, square
+from conftest import (
+    CORPUS,
+    KLEIN_HOLES,
+    ROUNDTRIP,
+    STRICT_CORPUS,
+    STRICT_CORPUS_IDS,
+    klein_bottle,
+    random_surface,
+    square,
+)
 from homolattice import (
     STRICT_ALL,
+    ArchSpec,
     HomolatticeError,
     InvalidSurfaceError,
     ModelingError,
@@ -18,6 +30,7 @@ from homolattice import (
     check_correspondences,
     classify_boundary,
     dualize,
+    generate,
     h1_dim,
     local_dual_cycle,
     to_json,
@@ -350,3 +363,27 @@ def test_dual_complex_is_the_transposed_complex(s):
     dd2t = dcx.d2.transpose()
     for df, v in vertex_of.items():
         assert to_primal(dd2t.row_bits[df]) == cx.d1.row_bits[cx.vertex_row[v]]
+
+
+def test_dual_output_is_pinned():
+    # sha256 of each dual's canonical JSON and its correspondence maps over
+    # the strict corpus, the benchmark's basis-roundtrip members and the
+    # Klein bottles, closed and with holes.  Recorded while dualize still
+    # classified its input; the dual must stay byte-identical.
+    members = list(STRICT_CORPUS)
+    members += [
+        ("-".join(map(str, m)), generate(ArchSpec(m[0], h=m[1], h2=m[2], t=m[3])))
+        for m in ROUNDTRIP
+    ]
+    members += [(f"klein{L}", klein_bottle(L)) for L in range(3, 7)]
+    members += [(name, klein_bottle(L, dropped, opened)) for name, L, dropped, opened in KLEIN_HOLES]
+    digest = hashlib.sha256()
+    for name, s in members:
+        d, corr = dualize(s)
+        maps = {
+            f.name: {str(key): value for key, value in getattr(corr, f.name).items()}
+            for f in dataclasses.fields(corr)
+        }
+        digest.update(f"{name}\n{to_json(d)}{json.dumps(maps)}\n".encode())
+    assert len(members) == 45
+    assert digest.hexdigest() == "f0b5ad624e3c67543e4b865cffcee63baaa9e9bc9623a8cc5f04efa2584cc79a"

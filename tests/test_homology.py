@@ -7,6 +7,7 @@ import random
 import pytest
 
 import homolattice.homology
+from homolattice.surface import _edge_faces
 from conftest import (
     CORPUS,
     CORPUS_IDS,
@@ -108,7 +109,21 @@ def test_one_pass_complex_matches_the_definitions(name, s):
     assert cx._d2t == cx.d2.transpose()
     assert cx.interior_vertices == tuple(sorted(cls.interior_vertices))
     assert cx.interior_edges == tuple(sorted(cls.interior_edges))
-    assert cx._classification == cls
+    # Each qubit's dual ends are its faces, lower first, or for a closed
+    # boundary edge its one face and the end node face_count + r, r its
+    # rank among the closed boundary edges.
+    incidence = _edge_faces(s)
+    expected = []
+    end = s.face_count
+    for ei in cx.interior_edges:
+        ends = sorted(incidence[ei])
+        if len(ends) == 1:
+            ends.append(end)
+            end += 1
+        expected.append(tuple(ends))
+    assert list(cx._dual_ends()) == expected
+    closed = [ei for ei, (_, b) in zip(cx.interior_edges, expected) if b >= s.face_count]
+    assert closed == sorted(cls.closed_edges)
     assert cx._kappas == (kappa_no_open_vertex(s), kappa_no_closed_boundary_edge(s))
 
 
