@@ -129,36 +129,41 @@ class ArchSpec:
 
 
 # ---------------------------------------------------------------------------
-# Plain lattices.
+# Square lattices.
 
 
-def _plain_cells(L: int, L2: int):
-    """Vertex grid, edge list, and face-grid edge quadruples of the plain
-    square patch (L rows by L2 columns of faces)."""
+def _square_cells(L: int, L2: int, wrap: bool = False):
+    """Edge list, face-grid edge quadruples, and vertex coordinates of the
+    square lattice of L rows by L2 columns of faces.  Without ``wrap`` it is
+    the plain patch on (L+1) x (L2+1) vertices; with it, vertex indices wrap
+    modulo the L x L2 grid, so the last row and column of faces close up
+    onto the first (the torus)."""
+    rows, cols = (L, L2) if wrap else (L + 1, L2 + 1)
 
     def vid(i: int, j: int) -> int:
-        return i * (L2 + 1) + j
+        return (i % rows) * cols + j % cols
 
     edges: list[tuple[int, int]] = []
     eidx: dict[tuple[int, int, str], int] = {}
-    for i in range(L + 1):
-        for j in range(L2 + 1):
+    for i in range(rows):
+        for j in range(cols):
             if j < L2:
                 eidx[(i, j, "h")] = len(edges)
                 edges.append((vid(i, j), vid(i, j + 1)))
             if i < L:
                 eidx[(i, j, "v")] = len(edges)
                 edges.append((vid(i, j), vid(i + 1, j)))
-    faces: dict[tuple[int, int], tuple[int, int, int, int]] = {}
-    for i in range(L):
-        for j in range(L2):
-            faces[(i, j)] = (
-                eidx[(i, j, "h")],
-                eidx[(i, j, "v")],
-                eidx[(i, j + 1, "v")],
-                eidx[(i + 1, j, "h")],
-            )
-    coords = [(float(j), float(i)) for i in range(L + 1) for j in range(L2 + 1)]
+    faces = {
+        (i, j): (
+            eidx[(i, j, "h")],
+            eidx[(i, j, "v")],
+            eidx[(i, (j + 1) % cols, "v")],
+            eidx[((i + 1) % rows, j, "h")],
+        )
+        for i in range(L)
+        for j in range(L2)
+    }
+    coords = [(float(j), float(i)) for i in range(rows) for j in range(cols)]
     return edges, faces, coords
 
 
@@ -166,8 +171,7 @@ def gen_plain_square(L: int, L2: int) -> Surface:
     """Square patch of L x L2 faces with a fully closed outer boundary."""
     if L < 1 or L2 < 1:
         raise OutOfDomainError("L, L2 must be >= 1")
-    edges, faces, coords = _plain_cells(L, L2)
-    return _punch(edges, faces, coords)
+    return _punch(*_square_cells(L, L2))
 
 
 def gen_torus(L: int) -> Surface:
@@ -176,27 +180,7 @@ def gen_torus(L: int) -> Surface:
         raise OutOfDomainError(
             "torus needs L >= 3: smaller periods create parallel edges"
         )
-    edges: list[tuple[int, int]] = []
-    eidx: dict[tuple[int, int, str], int] = {}
-    for i in range(L):
-        for j in range(L):
-            a = i * L + j
-            eidx[(i, j, "h")] = len(edges)
-            edges.append((a, i * L + (j + 1) % L))
-            eidx[(i, j, "v")] = len(edges)
-            edges.append((a, ((i + 1) % L) * L + j))
-    faces = {
-        (i, j): (
-            eidx[(i, j, "h")],
-            eidx[(i, j, "v")],
-            eidx[(i, (j + 1) % L, "v")],
-            eidx[((i + 1) % L, j, "h")],
-        )
-        for i in range(L)
-        for j in range(L)
-    }
-    coords = [(float(j), float(i)) for i in range(L) for j in range(L)]
-    return _punch(edges, faces, coords)
+    return _punch(*_square_cells(L, L, wrap=True))
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +292,7 @@ def gen_square_hole(h: int, h2: int, t: int) -> Surface:
         raise OutOfDomainError("h, h2, t must all be >= 1")
     L = square_hole_lattice_size(h, t)
     L2 = square_hole_lattice_size(h2, t)
-    edges, faces, coords = _plain_cells(L, L2)
+    edges, faces, coords = _square_cells(L, L2)
     dropped = {
         (i, j)
         for ai in _grid(h, 5 * t - 1, 4 * t - 1)

@@ -550,8 +550,9 @@ def _bfs_path(
     sources: list[int],
     targets: set[int],
 ) -> list[int] | None:
-    """Deterministic multi-source BFS; returns edge indices of a shortest
-    source-to-target path, or None."""
+    """Deterministic multi-source BFS on ``homology._graph`` adjacency;
+    returns the qubit positions of a shortest source-to-target path, or
+    None."""
     parents: dict[int, tuple[int, int]] = {}
     queue: deque[int] = deque()
     for v in sorted(sources):
@@ -599,7 +600,8 @@ def logical_basis_boundary_strategy(s: Surface | ChainComplex) -> LogicalBasis:
     the qubits' dual ends, whose nodes are the dual's vertices with the
     same numbers; each node's neighbours are in node order, which is the
     canonical dual's edge order, so the paths are the ones a BFS on the
-    dual surface finds.
+    dual surface finds.  The open-hole Z paths run on the graph of the
+    qubits' own end vertices, each vertex's neighbours in qubit order.
 
     Raises:
         InvalidSurfaceError: if ``s`` is not strictly valid.
@@ -649,11 +651,7 @@ def logical_basis_boundary_strategy(s: Surface | ChainComplex) -> LogicalBasis:
             x_ops.append(BitVector.from_support(n, dual_path))
 
     if bo >= 1:
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(s.vertex_count)]
-        for ei in cx.interior_edges:
-            e = s.edges[ei]
-            adj[e.u].append((e.v, ei))
-            adj[e.v].append((e.u, ei))
+        adj = _graph(s.vertex_count, (s.edges[ei].endpoints() for ei in cx.interior_edges))
         open_vertex_sets = []
         rim_vertex_sets = []
         for hole in open_holes:
@@ -673,7 +671,7 @@ def logical_basis_boundary_strategy(s: Surface | ChainComplex) -> LogicalBasis:
                 raise UnsupportedTopologyError(
                     "non-open edges do not connect the open-rim holes"
                 )
-            z_ops.append(cx.edge_chain(path))
+            z_ops.append(BitVector.from_support(n, path))
             ring = [
                 ei
                 for ei in cx.interior_edges

@@ -7,6 +7,18 @@ Anything else escaping the library is a bug.
 
 from __future__ import annotations
 
+__all__ = [
+    "HomolatticeError",
+    "DimensionError",
+    "InvalidSurfaceError",
+    "DegeneratePairingError",
+    "ModelingError",
+    "NoLogicalsError",
+    "UnsupportedTopologyError",
+    "OutOfDomainError",
+    "OverheadError",
+]
+
 
 class HomolatticeError(Exception):
     """Base class for all domain errors raised by this package."""

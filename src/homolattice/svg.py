@@ -8,6 +8,8 @@ filled.
 
 from __future__ import annotations
 
+import math
+
 from .errors import OutOfDomainError
 from .surface import Surface, classify_boundary
 
@@ -16,6 +18,8 @@ __all__ = ["render_svg"]
 _FACE_FILL = "#dce9f5"
 _CLOSED_STROKE = "#1f3044"
 _OPEN_STROKE = "#b03030"
+_SCALE = 40.0  # drawing units per coordinate unit
+_PAD = 20.0  # margin around the drawing
 
 
 def _face_vertex_cycle(s: Surface, face: tuple[int, ...]) -> list[int]:
@@ -36,17 +40,17 @@ def _face_vertex_cycle(s: Surface, face: tuple[int, ...]) -> list[int]:
     return cycle[:-1]
 
 
-def render_svg(
-    s: Surface,
-    *,
-    show_open_dotted: bool = True,
-    scale: float = 40.0,
-    pad: float = 20.0,
-) -> str:
+def render_svg(s: Surface, *, show_open_dotted: bool = True) -> str:
     """Render ``s`` as a standalone SVG document string.
 
-    Requires ``s.coords``.  ``show_open_dotted=False`` draws open edges in the
+    Requires ``s.coords``.  One coordinate unit is drawn 40 units long, inside
+    a 20-unit margin.  ``show_open_dotted=False`` draws open edges in the
     same continuous style as closed ones (type information is then invisible).
+
+    Raises:
+        OutOfDomainError: if ``s`` has no coordinates or no vertices, or if
+            its coordinates span too far for the drawing's width or height to
+            be finite.
     """
     if s.coords is None:
         raise OutOfDomainError("surface carries no drawing coordinates")
@@ -60,10 +64,14 @@ def render_svg(
 
     def at(v: int) -> tuple[float, float]:
         x, y = s.coords[v]
-        return (pad + (x - min_x) * scale, pad + (max_y - y) * scale)
+        return (_PAD + (x - min_x) * _SCALE, _PAD + (max_y - y) * _SCALE)
 
-    width = 2 * pad + (max(xs) - min_x) * scale
-    height = 2 * pad + (max_y - min(ys)) * scale
+    width = 2 * _PAD + (max(xs) - min_x) * _SCALE
+    height = 2 * _PAD + (max_y - min(ys)) * _SCALE
+    if not (math.isfinite(width) and math.isfinite(height)):
+        raise OutOfDomainError(
+            f"coordinates span too far to draw: width {width}, height {height}"
+        )
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.6g}" '
@@ -87,7 +95,7 @@ def render_svg(
             'stroke-linecap="round"/>'
         )
 
-    radius = scale * 0.09
+    radius = _SCALE * 0.09
     for v in range(s.vertex_count):
         x, y = at(v)
         if v in cls.open_vertices:

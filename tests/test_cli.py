@@ -535,6 +535,18 @@ def test_export_svg_requires_coordinates(tmp_path, capsys):
     assert "coordinates" in capsys.readouterr().err
 
 
+def test_export_svg_rejects_coordinates_too_far_apart_to_draw(tmp_path, capsys):
+    # Finite coordinates whose span overflows would give width="inf".
+    huge = tmp_path / "huge.json"
+    coords = [(-1e308, 0.0), (1e308, 0.0), (-1e308, 1.0), (1e308, 1.0)]
+    far = Surface.build(4, [(0, 1), (1, 3), (3, 2), (2, 0)], [(0, 1, 2, 3)], coords)
+    save_surface(far, huge)
+    out = tmp_path / "x.svg"
+    assert main(["export-svg", str(huge), "-o", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # analyze once
 # ---------------------------------------------------------------------------

@@ -617,3 +617,42 @@ def test_verify_rejects_tampered_bases():
     with pytest.raises(ModelingError):
         # Broken pairing: Z side zeroed.
         verify_logical_basis(s, LogicalBasis(pairs=((x, BitVector(n, 0)),)))
+
+
+def _verify_message(s, pairs) -> str:
+    with pytest.raises(ModelingError) as info:
+        verify_logical_basis(s, LogicalBasis(pairs=tuple(pairs)))
+    return str(info.value)
+
+
+def test_verify_rejects_a_z_logical_that_is_not_a_cycle():
+    s = dict(CORPUS)["sq111"]
+    (x, z), = logical_basis_generic(s).pairs
+    broken = z ^ BitVector.from_support(z.length, [0])
+    assert "z logical 0 is not a relative cycle" in _verify_message(s, [(x, broken)])
+
+
+def test_verify_rejects_an_x_logical_that_is_not_a_dual_cycle():
+    s = dict(CORPUS)["sq111"]
+    (x, z), = logical_basis_generic(s).pairs
+    broken = x ^ BitVector.from_support(x.length, [0])
+    message = _verify_message(s, [(broken, z)])
+    assert "x logical 0 is not a relative cycle of the dual" in message
+
+
+def test_verify_rejects_a_vertex_star_as_x_logical():
+    # A star is a dual cycle (d2^T d1^T = 0) that bounds on the dual.
+    s = dict(CORPUS)["sq111"]
+    (_, z), = logical_basis_generic(s).pairs
+    star = boundary_maps(s).d1.row(0)
+    assert star
+    message = _verify_message(s, [(star, z)])
+    assert "x logical 0 is homologically trivial on the dual" in message
+
+
+def test_verify_rejects_a_pairing_that_is_not_the_identity():
+    # Every vector is a non-trivial cycle; only the pairing is wrong.
+    s = generate(ArchSpec("torus", L=3))
+    (x0, z0), (x1, z1) = logical_basis_generic(s).pairs
+    message = _verify_message(s, [(x0, z1), (x1, z0)])
+    assert "pairing <x_0, z_0> = 0, expected 1" in message
