@@ -6,10 +6,10 @@ stars, Z stabilizers the non-open parts of face boundaries; commutation is
 the statement d1 @ d2 = 0.  The logical count is dim H1 of the relative
 complex; Z distances are minimum weights of non-trivial relative cycles of
 the surface and X distances the same on its dual, taken on the transposed
-complex (d2^T, d1) rather than on a dual surface.  Only
-``logical_basis_generic`` builds the dual surface, because its X
-representatives are taken in the dual's own qubit order; ``dualize`` reads
-that dual off the same complex.
+complex (d2^T, d1) rather than on a dual surface.  ``logical_basis_generic``
+takes its X representatives in the canonical dual's own qubit order, on the
+dual's d1 and d2^T, which are d2^T and d1 permuted; no function here builds
+a dual surface.
 
 Every public function accepts a surface or its ``boundary_maps`` complex,
 which validates and counts the surface once for all calls; none of them
@@ -54,8 +54,7 @@ from .f2 import (
     rank,  # not used here, but bench/test_bench.py patches homolattice.code.rank
     symplectic_pairing,
 )
-from .dual import dualize
-from .homology import ChainComplex, _build_unchecked, _complex, _graph, h1_dim
+from .homology import ChainComplex, _complex, _graph, h1_dim
 from .surface import STRICT_ALL, Surface, _roots, require_valid
 
 __all__ = [
@@ -494,6 +493,54 @@ def _permute_bits(bits_in: int, new_pos_of_old_pos: list[int], n: int) -> BitVec
     return BitVector(n, bits)
 
 
+def _dual_maps(cx: ChainComplex) -> tuple[list[int], BinaryMatrix, BinaryMatrix]:
+    """The canonical dual's qubit order and its d1 and d2^T, read off the
+    complex with no dual surface.  ``order[j]`` is the qubit of dual qubit
+    ``j``.
+
+    The dual's non-open edges come first in its canonical edge order, sorted
+    by their ends, so the dual qubits are the qubits sorted by
+    ``_dual_ends``.  The dual's non-open vertices are the faces, in order,
+    so its d1 is d2^T with the columns permuted.  Its faces are the non-open
+    vertices, each in canonical traversal: from its lowest dual qubit m
+    toward the lower neighbour, which is the lowest qubit at the vertex that
+    shares a face with m (its open dual edge, if any, numbers above every
+    qubit).  So its d2^T is d1 with the columns permuted and the rows sorted
+    by those two qubits.
+    """
+    faces = cx.face_count
+    ends = list(cx._dual_ends())
+    vertex_ends = list(cx._vertex_ends())
+    order = sorted(range(len(ends)), key=ends.__getitem__)
+    d1_rows = [0] * faces
+    d2t_rows = [0] * (len(cx.interior_vertices) + 1)  # the last row is the terminal's
+    for j, q in enumerate(order):
+        bit = 1 << j
+        a, b = ends[q]
+        d1_rows[a] |= bit
+        if b < faces:
+            d1_rows[b] |= bit
+        u, v = vertex_ends[q]
+        d2t_rows[u] |= bit
+        d2t_rows[v] |= bit
+    d2t_rows.pop()
+
+    def traversal(bits: int) -> tuple[int, int]:
+        low = bits & -bits
+        a, b = ends[order[low.bit_length() - 1]]
+        shared = d1_rows[a] | (d1_rows[b] if b < faces else 0)
+        nxt = shared & bits ^ low
+        return low.bit_length(), (nxt & -nxt).bit_length()
+
+    d2t_rows.sort(key=traversal)
+    n = len(order)
+    return (
+        order,
+        BinaryMatrix(faces, n, tuple(d1_rows)),
+        BinaryMatrix(len(d2t_rows), n, tuple(d2t_rows)),
+    )
+
+
 def logical_basis_generic(s: Surface | ChainComplex) -> LogicalBasis:
     """Symplectic basis from algebraic homology representatives.
 
@@ -502,27 +549,22 @@ def logical_basis_generic(s: Surface | ChainComplex) -> LogicalBasis:
     bijection; :func:`symplectic_pairing` then normalizes the pairing to the
     identity.  k always equals dim H1.
 
-    The X quotient is reduced in the dual's own qubit order, so this is the
-    one analysis that builds the dual surface, which :func:`dualize` reads
-    off this same complex.
+    The X quotient is reduced in the canonical dual's own qubit order, on
+    the dual's d1 and d2^T, which are this complex's d2^T and d1 permuted
+    (see :func:`_dual_maps`); no dual surface is built.
 
     Raises:
         InvalidSurfaceError: if ``s`` is not strictly valid.
     """
     cx = _complex(s)
-    dual, corr = dualize(cx)
-    dcx = _build_unchecked(dual)  # dualize has validated the dual strictly
-    n = len(cx.interior_edges)
-    if n != len(dcx.interior_edges):
-        raise ModelingError("non-open edge bijection broken: qubit counts differ")
-    back = [0] * n
-    for e, de in corr.interior_edge_to_dual_edge.items():
-        back[dcx.edge_index[de]] = cx.edge_index[e]
+    require_valid(cx.surface, STRICT_ALL)
     k = h1_dim(cx)
     if k == 0:
         return LogicalBasis(pairs=())
+    n = len(cx.interior_edges)
+    order, dual_d1, dual_d2t = _dual_maps(cx)
     z_ops = [BitVector(n, z) for z in _quotient_basis(cx.d1, cx._d2t)]
-    x_ops = [_permute_bits(x, back, n) for x in _quotient_basis(dcx.d1, dcx._d2t)]
+    x_ops = [_permute_bits(x, order, n) for x in _quotient_basis(dual_d1, dual_d2t)]
     if len(z_ops) != k or len(x_ops) != k:
         raise ModelingError(
             f"homology representative counts ({len(z_ops)} Z, {len(x_ops)} X) "

@@ -266,7 +266,15 @@ def validate(s: Surface, strict: frozenset[str] | set[str] = frozenset()) -> Val
 def _check(s: Surface) -> ValidationReport:
     """The full report under ``STRICT_ALL``.  The distance-one check runs
     last and only after every base check passed, so dropping its violations
-    gives the base report."""
+    gives the base report.
+
+    The face pass builds the edge -> face incidence that the later checks
+    read.  It screens each face by pairing off its sorted endpoints, which
+    must name each vertex exactly twice; on simple edges that alone proves
+    one cycle below six edges, so only longer faces are walked by
+    :func:`_face_cycle_order`.  The link check walks each vertex's F_v
+    through that incidence.
+    """
     out: list[Violation] = []
 
     if not 0 <= s.vertex_count <= 2 * len(s.edges):
@@ -284,15 +292,17 @@ def _check(s: Surface) -> ValidationReport:
             )
         )
 
+    edges = s.edges
     seen_pairs: dict[tuple[int, int], int] = {}
-    for ei, e in enumerate(s.edges):
-        if not (0 <= e.u < s.vertex_count and 0 <= e.v < s.vertex_count):
+    for ei, e in enumerate(edges):
+        u, v = e.u, e.v
+        if not (0 <= u < s.vertex_count and 0 <= v < s.vertex_count):
             out.append(Violation("edge-endpoint-range", (ei,), f"edge {ei} = {e}"))
             continue
-        if e.u == e.v:
-            out.append(Violation("loop-edge", (ei,), f"edge {ei} is a loop at {e.u}"))
+        if u == v:
+            out.append(Violation("loop-edge", (ei,), f"edge {ei} is a loop at {u}"))
             continue
-        key = (min(e.u, e.v), max(e.u, e.v))
+        key = (u, v) if u < v else (v, u)
         if key in seen_pairs:
             out.append(
                 Violation(
@@ -307,15 +317,16 @@ def _check(s: Surface) -> ValidationReport:
         # Face/vertex checks assume a sane edge list; report what we have.
         return ValidationReport(tuple(out))
 
+    incidence: list[list[int]] = [[] for _ in edges]
     for fi, face in enumerate(s.faces):
-        bad_ref = [ei for ei in face if not 0 <= ei < len(s.edges)]
-        if bad_ref:
+        if face and not (0 <= min(face) and max(face) < len(edges)):
+            bad_ref = [ei for ei in face if not 0 <= ei < len(edges)]
             out.append(
                 Violation("face-edge-range", (fi,), f"face {fi} references edges {bad_ref}")
             )
             continue
-        dupes = sorted({ei for ei in face if face.count(ei) > 1})
-        if dupes:
+        if len(set(face)) != len(face):
+            dupes = sorted({ei for ei in face if face.count(ei) > 1})
             out.append(
                 Violation(
                     "edge-twice-in-face",
@@ -324,19 +335,47 @@ def _check(s: Surface) -> ValidationReport:
                 )
             )
             continue
-        if _face_cycle_order(s, face) is None:
+        # Each vertex exactly twice among the ends.  The edges are simple,
+        # so two disjoint cycles need six or more of them.
+        ends = sorted([edges[ei].u for ei in face] + [edges[ei].v for ei in face])
+        once = ends[::2]
+        if (
+            not face
+            or once != ends[1::2]
+            or len(set(once)) != len(face)
+            or (len(face) >= 6 and _face_cycle_order(s, face) is None)
+        ):
             out.append(
                 Violation("face-not-cycle", (fi,), f"face {fi} is not a single closed cycle")
             )
+            continue
+        for ei in face:
+            incidence[ei].append(fi)
     if out:
         return ValidationReport(tuple(out))
 
-    incidence = _edge_faces(s)
+    # Violations in report order: shared pairs of faces, then faces per
+    # edge, then open edges, each found in the one pass over the edges.
     pair_counts: dict[tuple[int, int], int] = {}
-    for faces_of_e in incidence:
-        if len(faces_of_e) == 2:
-            f1, f2 = sorted(faces_of_e)
-            pair_counts[(f1, f2)] = pair_counts.get((f1, f2), 0) + 1
+    per_edge: list[Violation] = []
+    per_open_edge: list[Violation] = []
+    for ei, faces_of_e in enumerate(incidence):
+        count = len(faces_of_e)
+        if count == 2:
+            pair = (faces_of_e[0], faces_of_e[1])  # faces are appended in order
+            pair_counts[pair] = pair_counts.get(pair, 0) + 1
+        elif count == 0:
+            per_edge.append(Violation("edge-no-face", (ei,), f"edge {ei} belongs to no face"))
+        elif count > 2:
+            per_edge.append(
+                Violation("edge-many-faces", (ei,), f"edge {ei} belongs to {count} faces")
+            )
+        if count != 1 and edges[ei].open:
+            per_open_edge.append(
+                Violation(
+                    "open-edge-interior", (ei,), f"open edge {ei} belongs to {count} faces"
+                )
+            )
     for (f1, f2), cnt in sorted(pair_counts.items()):
         if cnt > 1:
             out.append(
@@ -346,59 +385,45 @@ def _check(s: Surface) -> ValidationReport:
                     f"faces {f1} and {f2} share {cnt} edges",
                 )
             )
-    for ei, faces_of_e in enumerate(incidence):
-        if len(faces_of_e) == 0:
-            out.append(Violation("edge-no-face", (ei,), f"edge {ei} belongs to no face"))
-        elif len(faces_of_e) > 2:
-            out.append(
-                Violation(
-                    "edge-many-faces",
-                    (ei,),
-                    f"edge {ei} belongs to {len(faces_of_e)} faces",
-                )
-            )
-    for ei, e in enumerate(s.edges):
-        if e.open and len(incidence[ei]) != 1:
-            out.append(
-                Violation(
-                    "open-edge-interior",
-                    (ei,),
-                    f"open edge {ei} belongs to {len(incidence[ei])} faces",
-                )
-            )
+    out += per_edge + per_open_edge
     if out:
         return ValidationReport(tuple(out))
 
     edges_at: list[list[int]] = [[] for _ in range(s.vertex_count)]
-    for ei, e in enumerate(s.edges):
+    for ei, e in enumerate(edges):
         edges_at[e.u].append(ei)
         edges_at[e.v].append(ei)
-    for v in range(s.vertex_count):
-        if not edges_at[v]:
+    for v, eis in enumerate(edges_at):
+        if not eis:
             out.append(Violation("isolated-vertex", (v,), f"vertex {v} has no incident edge"))
             continue
-        # F_v: faces at v, joined when they share an edge at v.  Each valid face
-        # passes v once (two of its edges meet v), so every node has two slots;
-        # boundary edges at v leave stubs.  Valid iff connected with 0 or 2 stubs.
-        faces_at = sorted({fi for ei in edges_at[v] for fi in incidence[ei]})
-        stubs = 0
-        adj: dict[int, list[int]] = {fi: [] for fi in faces_at}
-        for ei in edges_at[v]:
+        # F_v: faces at v, joined when they share an edge at v.  Each face
+        # passes v once, through two of its edges, so ``corner`` holds the
+        # XOR of that pair per face; boundary edges at v leave stubs.  Valid
+        # iff there are 0 or 2 stubs and one walk from edge to edge through
+        # the faces, starting at a stub, reaches every edge at v.
+        corner: dict[int, int] = {}
+        stubs = []
+        for ei in eis:
             fs = incidence[ei]
             if len(fs) == 1:
-                stubs += 1
-            else:
-                adj[fs[0]].append(fs[1])
-                adj[fs[1]].append(fs[0])
-        seen = {faces_at[0]}
-        frontier = [faces_at[0]]
-        while frontier:
-            for nxt in adj[frontier.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        connected = len(seen) == len(faces_at)
-        if not connected or stubs not in (0, 2):
+                stubs.append(ei)
+            for fi in fs:
+                corner[fi] = corner.get(fi, 0) ^ ei
+        reached = 0
+        if len(stubs) in (0, 2):
+            first = ei = stubs[0] if stubs else eis[0]
+            fi = incidence[ei][0]
+            reached = 1
+            while True:
+                ei = corner[fi] ^ ei
+                fs = incidence[ei]
+                if ei == first or len(fs) == 1:
+                    reached += ei != first
+                    break
+                reached += 1
+                fi = fs[0] ^ fs[1] ^ fi
+        if reached != len(eis):
             out.append(
                 Violation(
                     "vertex-link-broken",
@@ -561,6 +586,7 @@ def to_json_dict(s: Surface) -> dict:
 
 
 _JSON_TYPE_NAMES = {int: "integer", bool: "boolean", list: "array"}
+_INT = {int}
 
 
 def _typed(value, kind: type, where: str):
@@ -571,12 +597,20 @@ def _typed(value, kind: type, where: str):
     return value
 
 
-def _point(c, where: str) -> tuple[float, float]:
-    if type(c) is not list or len(c) != 2 or not all(
-        type(x) in (int, float) and math.isfinite(x) for x in c
-    ):
-        raise ValueError(f"{where} must be a pair of finite numbers, got {c!r}")
-    return (c[0], c[1])
+def _point(c, i: int) -> tuple[float, float]:
+    if type(c) is list and len(c) == 2:
+        x, y = c
+        try:
+            if (
+                type(x) in (int, float)
+                and type(y) in (int, float)
+                and math.isfinite(x)
+                and math.isfinite(y)
+            ):
+                return (x, y)
+        except OverflowError:  # an integer too large for a float
+            pass
+    raise ValueError(f"coords[{i}] must be a pair of finite numbers, got {c!r}")
 
 
 def from_json_dict(d: dict) -> Surface:
@@ -584,31 +618,40 @@ def from_json_dict(d: dict) -> Surface:
 
     ``vertex_count``, edge endpoints and face entries must be JSON integers
     (not booleans or floats), ``open`` a JSON boolean, the cell lists JSON
-    arrays, and each ``coords`` entry a pair of finite numbers.
+    arrays, and each ``coords`` entry a pair of finite numbers.  Each cell
+    is type-checked inline; only a cell that fails is read again field by
+    field, which names the first bad field in the error.
 
     Raises:
         InvalidSurfaceError: on a missing key or a value of the wrong type.
     """
     try:
         vertex_count = _typed(d["vertex_count"], int, "vertex_count")
-        edges = [
-            Edge(
-                _typed(e["u"], int, f"edges[{i}].u"),
-                _typed(e["v"], int, f"edges[{i}].v"),
-                _typed(e["open"], bool, f"edges[{i}].open"),
+        edges = []
+        for i, e in enumerate(_typed(d["edges"], list, "edges")):
+            if type(e) is dict:
+                u, v, is_open = e.get("u"), e.get("v"), e.get("open")
+                if type(u) is int and type(v) is int and type(is_open) is bool:
+                    edges.append(Edge(u, v, is_open))
+                    continue
+            edges.append(
+                Edge(
+                    _typed(e["u"], int, f"edges[{i}].u"),
+                    _typed(e["v"], int, f"edges[{i}].v"),
+                    _typed(e["open"], bool, f"edges[{i}].open"),
+                )
             )
-            for i, e in enumerate(_typed(d["edges"], list, "edges"))
-        ]
-        faces = [
-            tuple(_typed(x, int, f"faces[{i}]") for x in _typed(f, list, f"faces[{i}]"))
-            for i, f in enumerate(_typed(d["faces"], list, "faces"))
-        ]
+        faces = []
+        for i, f in enumerate(_typed(d["faces"], list, "faces")):
+            if type(f) is list and {*map(type, f)} <= _INT:
+                faces.append(tuple(f))
+            else:
+                faces.append(
+                    tuple(_typed(x, int, f"faces[{i}]") for x in _typed(f, list, f"faces[{i}]"))
+                )
         coords = None
         if d.get("coords") is not None:
-            coords = tuple(
-                _point(c, f"coords[{i}]")
-                for i, c in enumerate(_typed(d["coords"], list, "coords"))
-            )
+            coords = tuple(_point(c, i) for i, c in enumerate(_typed(d["coords"], list, "coords")))
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidSurfaceError(f"malformed surface JSON: {exc}") from exc
     return Surface(vertex_count, tuple(edges), tuple(faces), coords)

@@ -57,7 +57,8 @@ from homolattice import (
     validate,
     verify_logical_basis,
 )
-from homolattice.code import _graphs, _sides, _signatures
+from homolattice.code import _dual_maps, _graphs, _sides, _signatures
+from homolattice.homology import _build_unchecked
 
 # ---------------------------------------------------------------------------
 # stabilizer extraction
@@ -540,14 +541,20 @@ def test_generic_basis_requires_strict(extract):
         extract(square((0, 2)))
 
 
-def _relabel(s: Surface, rng: random.Random) -> Surface:
+def _relabel(s: Surface, rng: random.Random, window: int | None = None) -> Surface:
     """``s`` with its vertices, edges and faces renumbered, edge endpoints
-    swapped and face cycles rotated or reversed at random."""
+    swapped and face cycles rotated or reversed at random.  With ``window``,
+    each cell class is shuffled only within blocks of that many consecutive
+    indices, as the benchmark relabels its inputs."""
     vmap, emap, fmap = (
         list(range(count)) for count in (s.vertex_count, len(s.edges), len(s.faces))
     )
     for perm in (vmap, emap, fmap):
-        rng.shuffle(perm)
+        step = window or len(perm) or 1
+        for lo in range(0, len(perm), step):
+            block = perm[lo : lo + step]
+            rng.shuffle(block)
+            perm[lo : lo + step] = block
     edges = [None] * len(s.edges)
     for old, e in enumerate(s.edges):
         u, v = vmap[e.u], vmap[e.v]
@@ -589,6 +596,34 @@ def test_logical_bases_are_pinned():
     assert len(rows) == 96
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert digest == "b2c2f73caf5d6068be0f4c87c0cf99dcae2f399e5274dd95150117f923a68d94"
+
+
+def test_dual_maps_are_the_dual_surfaces_maps():
+    # The generic basis reads the canonical dual's qubit order, d1 and d2^T
+    # off the primal complex; dualize, which builds the dual surface, is the
+    # oracle.
+    rng = random.Random(20261019)
+    members = list(STRICT_CORPUS)
+    members += [(f"klein{L}", klein_bottle(L)) for L in range(3, 7)]
+    members += [(name, klein_bottle(L, *cells)) for name, L, *cells in KLEIN_HOLES]
+    for m in ROUNDTRIP:
+        s = generate(ArchSpec(m[0], h=m[1], h2=m[2], t=m[3]))
+        members.append(("-".join(map(str, m)), s))
+    members += [
+        (f"{name}/{window}", _relabel(s, rng, window))
+        for name, s in members[-len(ROUNDTRIP) - len(KLEIN_HOLES) :]
+        for window in (8, 32, None)
+    ]
+    for name, s in members:
+        cx = boundary_maps(s)
+        dual, corr = dualize(cx)
+        dcx = _build_unchecked(dual)
+        order, d1, d2t = _dual_maps(cx)
+        assert d1 == dcx.d1, name
+        assert d2t == dcx._d2t, name
+        dual_edge = corr.interior_edge_to_dual_edge
+        assert [cx.interior_edges[q] for q in order] == sorted(dual_edge, key=dual_edge.get), name
+    assert len(members) == len(STRICT_CORPUS) + 4 + 4 * len(KLEIN_HOLES) + 4 * len(ROUNDTRIP)
 
 
 def test_verify_accepts_stabilizer_deformation():

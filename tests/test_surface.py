@@ -157,6 +157,32 @@ def test_violation_face_not_cycle():
     assert codes(validate(bad)) == {"face-not-cycle"}
 
 
+def test_violation_face_of_two_disjoint_triangles():
+    # Every vertex of the six edges has degree 2, yet they close into two
+    # cycles: only a walk tells this apart from a hexagon.
+    triangles = [(0, 2), (2, 4), (4, 0), (1, 3), (3, 5), (5, 1)]
+    report = validate(Surface.build(6, triangles, [range(6)]))
+    assert str(report) == "face-not-cycle[0]: face 0 is not a single closed cycle"
+
+
+def test_violation_face_through_a_vertex_twice():
+    # Two triangles sharing vertex 0: it appears four times among the ends.
+    s = Surface.build(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)], [range(6)])
+    assert str(validate(s)) == "face-not-cycle[0]: face 0 is not a single closed cycle"
+
+
+@pytest.mark.parametrize(
+    ("sides", "scrambled"), [(4, (0, 2, 1, 3)), (6, (3, 0, 5, 2, 4, 1))], ids=["square", "hexagon"]
+)
+def test_face_out_of_walk_order_validates(sides, scrambled):
+    # A face is a set of edges; the order it is listed in does not matter,
+    # and canonicalize writes it as the same traversal as the walk order.
+    ring = [(i, (i + 1) % sides) for i in range(sides)]
+    s, walk = (Surface.build(sides, ring, [face]) for face in (scrambled, range(sides)))
+    assert validate(s).ok
+    assert canonicalize(s)[0] == canonicalize(walk)[0]
+
+
 def test_violation_faces_share_edges():
     s = square()
     bad = Surface(s.vertex_count, s.edges, (s.faces[0], s.faces[0]))
@@ -503,6 +529,52 @@ def test_save_and_load_surface(tmp_path):
     first = path.read_bytes()
     save_surface(s, path)
     assert path.read_bytes() == first
+
+
+def _edge_dicts(*edges) -> list[dict]:
+    return [{"u": u, "v": v, "open": o} for u, v, o in edges]
+
+
+@pytest.mark.parametrize(
+    ("patch", "message"),
+    [
+        ({"vertex_count": 3.0}, "vertex_count must be a JSON integer, got 3.0"),
+        ({"edges": {"u": 0}}, "edges must be a JSON array, got {'u': 0}"),
+        (
+            {"edges": _edge_dicts((0, 1, False), (1.0, 2, False))},
+            "edges[1].u must be a JSON integer, got 1.0",
+        ),
+        (
+            {"edges": _edge_dicts((0, 1, False), (True, 2, False))},
+            "edges[1].u must be a JSON integer, got True",
+        ),
+        ({"edges": _edge_dicts((0, "1", False))}, "edges[0].v must be a JSON integer, got '1'"),
+        ({"edges": _edge_dicts((0, 1, 0))}, "edges[0].open must be a JSON boolean, got 0"),
+        ({"edges": [{"v": 2, "open": False}]}, "'u'"),
+        ({"edges": [[0, 1, False]]}, "list indices must be integers or slices, not str"),
+        ({"edges": [3]}, "'int' object is not subscriptable"),
+        ({"faces": "x"}, "faces must be a JSON array, got 'x'"),
+        ({"faces": [[0, 1], [1, "2"]]}, "faces[1] must be a JSON integer, got '2'"),
+        ({"faces": [[0, 1], [1, 2.5]]}, "faces[1] must be a JSON integer, got 2.5"),
+        ({"faces": [[0, 1], {"a": 1}]}, "faces[1] must be a JSON array, got {'a': 1}"),
+        ({"faces": [[0, 1], 7]}, "faces[1] must be a JSON array, got 7"),
+        ({"coords": [[0, 0], [1]]}, "coords[1] must be a pair of finite numbers, got [1]"),
+        (
+            {"coords": [[0, 0], [0, True]]},
+            "coords[1] must be a pair of finite numbers, got [0, True]",
+        ),
+        pytest.param(
+            {"coords": [[10**309, 0]]},
+            f"coords[0] must be a pair of finite numbers, got [{10**309}, 0]",
+            id="coords-int-beyond-float",
+        ),
+    ],
+)
+def test_from_json_dict_names_the_bad_cell(patch, message):
+    d = {"vertex_count": 3, "edges": _edge_dicts((0, 1, False), (1, 2, False)), "faces": [[0, 1]]}
+    with pytest.raises(InvalidSurfaceError) as info:
+        from_json_dict({**d, **patch})
+    assert str(info.value) == f"malformed surface JSON: {message}"
 
 
 def test_from_json_dict_rejects_malformed():
