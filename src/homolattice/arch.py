@@ -26,7 +26,7 @@ from fractions import Fraction
 from .code import distance_x, distance_z, logical_count
 from .errors import HomolatticeError, ModelingError, OutOfDomainError, OverheadError
 from .homology import boundary_maps
-from .surface import STRICT_ALL, Surface, canonicalize, require_valid
+from .surface import STRICT_ALL, Edge, Surface, canonicalize, require_valid
 
 __all__ = [
     "FAMILIES",
@@ -251,14 +251,13 @@ def _punch(
     new_edge_id = {ei: i for i, ei in enumerate(kept_edge_ids)}
     used_vertices = sorted({w for ei in kept_edge_ids for w in edges[ei]})
     new_vertex_id = {v: i for i, v in enumerate(used_vertices)}
-    new_edges = [
-        (new_vertex_id[edges[ei][0]], new_vertex_id[edges[ei][1]], ei in open_edges)
+    new_edges = tuple(
+        Edge(new_vertex_id[edges[ei][0]], new_vertex_id[edges[ei][1]], ei in open_edges)
         for ei in kept_edge_ids
-    ]
-    new_faces = [tuple(map(new_edge_id.__getitem__, f)) for f in kept_faces]
-    new_coords = [coords[v] for v in used_vertices]
-    s = Surface.build(len(used_vertices), new_edges, new_faces, new_coords)
-    s, _, _ = canonicalize(s)
+    )
+    new_faces = tuple(tuple(map(new_edge_id.__getitem__, f)) for f in kept_faces)
+    new_coords = tuple(coords[v] for v in used_vertices)
+    s, _, _ = canonicalize(Surface(len(used_vertices), new_edges, new_faces, new_coords))
     require_valid(s, STRICT_ALL)
     return s
 

@@ -71,57 +71,54 @@ def local_dual_cycle(s: Surface, v: int) -> list[tuple[str, int]]:
     the two boundary edges (boundary vertex), as ``("face", i)`` / ``("edge", i)``
     entries in cyclic order.
 
-    For an interior vertex the walk starts at the lowest face index and heads
-    toward its lower-indexed neighbor; for a boundary vertex it runs from the
-    lower-indexed boundary edge to the other (the closing edge between the two
-    boundary-edge entries is implicit in the cyclic reading).
+    One walk serves both kinds of vertex: it enters a face through one of
+    the face's two edges at ``v``, leaves through the other and crosses
+    that edge into the next face.  A boundary vertex's walk enters through
+    its lower-indexed boundary edge and stops at the other one (the closing
+    edge between the two boundary-edge entries is implicit in the cyclic
+    reading).  An interior vertex's walk starts at its lowest face index,
+    entering through the edge toward the higher-indexed neighbor so that
+    it heads toward the lower one, and stops on returning to that face.
 
     Raises:
-        OutOfDomainError: if ``v`` is not a vertex index of ``s``.
+        OutOfDomainError: if ``v`` is not exactly an ``int`` (a bool is not)
+            or not a vertex index of ``s``.
     """
     require_valid(s)
+    if type(v) is not int:
+        raise OutOfDomainError(f"vertex index must be an integer, got {v!r}")
     if not 0 <= v < s.vertex_count:
         raise OutOfDomainError(f"vertex index {v} out of range")
     incidence = _edge_faces(s)
-    edges_at = [ei for ei, e in enumerate(s.edges) if v in (e.u, e.v)]
-    boundary_here = sorted(ei for ei in edges_at if len(incidence[ei]) == 1)
+    slots: dict[int, list[int]] = {}  # each face at v -> its two edges at v
+    for ei, e in enumerate(s.edges):
+        if v in (e.u, e.v):
+            for fi in incidence[ei]:
+                slots.setdefault(fi, []).append(ei)
 
-    # Each face at v touches v through exactly two of its edges; record them.
-    face_slots: dict[int, list[int]] = {}
-    for ei in edges_at:
-        for fi in incidence[ei]:
-            face_slots.setdefault(fi, []).append(ei)
+    def across(fi: int, ei: int) -> int | None:
+        """The face on the other side of ``ei`` from ``fi``; None off a boundary edge."""
+        fs = incidence[ei]
+        return None if len(fs) == 1 else fs[1] if fs[0] == fi else fs[0]
 
-    if not boundary_here:
-        start = min(face_slots)
-        first_steps = []
-        for ei in face_slots[start]:
-            f1, f2 = incidence[ei]
-            first_steps.append((f1 if f2 == start else f2, ei))
-        nxt, via = min(first_steps)
-        order = [start, nxt]
-        prev_edge = via
-        while len(order) < len(face_slots):
-            cur = order[-1]
-            (out_edge,) = [ei for ei in face_slots[cur] if ei != prev_edge]
-            f1, f2 = incidence[out_edge]
-            order.append(f1 if f2 == cur else f2)
-            prev_edge = out_edge
-        return [("face", fi) for fi in order]
-
-    e_a, e_b = boundary_here
-    (cur,) = incidence[e_a]
-    out: list[tuple[str, int]] = [("edge", e_a), ("face", cur)]
-    prev_edge = e_a
+    stubs = sorted(ei for eis in slots.values() for ei in eis if len(incidence[ei]) == 1)
+    if stubs:
+        edge = stubs[0]
+        face = start = incidence[edge][0]
+        out: list[tuple[str, int]] = [("edge", edge)]
+    else:
+        face = start = min(slots)
+        edge = max(slots[face], key=lambda ei: (across(face, ei), ei))
+        out = []
     while True:
-        (out_edge,) = [ei for ei in face_slots[cur] if ei != prev_edge]
-        if len(incidence[out_edge]) == 1:
-            out.append(("edge", out_edge))
+        out.append(("face", face))
+        a, b = slots[face]
+        edge = b if a == edge else a
+        face = across(face, edge)
+        if face is None:
+            return out + [("edge", edge)]
+        if face == start:
             return out
-        f1, f2 = incidence[out_edge]
-        cur = f1 if f2 == cur else f2
-        out.append(("face", cur))
-        prev_edge = out_edge
 
 
 def dualize(s: Surface | ChainComplex) -> tuple[Surface, DualCorrespondence]:
@@ -171,22 +168,16 @@ def dualize(s: Surface | ChainComplex) -> tuple[Surface, DualCorrespondence]:
 
     coords = None
     if primal.coords is not None:
-        face_centroids = []
+        xy = primal.coords
+        points = []  # the face centroids, then the closed boundary edges' midpoints
         for face in primal.faces:
             verts = sorted({w for ei in face for w in primal.edges[ei].endpoints()})
-            xs = [primal.coords[w][0] for w in verts]
-            ys = [primal.coords[w][1] for w in verts]
-            face_centroids.append((sum(xs) / len(xs), sum(ys) / len(ys)))
-        edge_mids = []
+            xs, ys = zip(*(xy[w] for w in verts))
+            points.append((sum(xs) / len(xs), sum(ys) / len(ys)))
         for ei in end_of_edge:
-            e = primal.edges[ei]
-            edge_mids.append(
-                (
-                    (primal.coords[e.u][0] + primal.coords[e.v][0]) / 2,
-                    (primal.coords[e.u][1] + primal.coords[e.v][1]) / 2,
-                )
-            )
-        coords = tuple(face_centroids + edge_mids)
+            (xu, yu), (xv, yv) = (xy[w] for w in primal.edges[ei].endpoints())
+            points.append(((xu + xv) / 2, (yu + yv) / 2))
+        coords = tuple(points)
 
     raw = Surface(n_faces + len(end_of_edge), tuple(raw_edges), tuple(raw_faces), coords)
     dual, edge_map, face_map = canonicalize(raw)
@@ -222,104 +213,68 @@ def check_correspondences(
     """Verify the six cardinality identities between ``s`` and its dual ``d``
     and that each correspondence map is a bijection onto its stated cell class.
 
-    Returns an empty report iff everything holds.
+    One table pairs each primal cell class with its dual class, the
+    identity's violation code and the :class:`DualCorrespondence` field
+    that maps one onto the other.  The report lists the failed identities
+    first, then each map's ``map-domain-*`` and ``map-range-*`` failures, in
+    table order.  Returns an empty report iff everything holds.
     """
-    out: list[Violation] = []
     pc = _classify_unchecked(s)
     dc = _classify_unchecked(d)
-    nonboundary_primal = frozenset(range(s.vertex_count)) - pc.boundary_vertices
-    dual_nonopen_vertices = frozenset(range(d.vertex_count)) - dc.open_vertices
-    dual_all_faces = frozenset(range(len(d.faces)))
-    dual_open_faces_set = dual_all_faces - dc.interior_faces
-
-    identities = [
+    # (identity code, correspondence field, primal class, dual class)
+    pairs = [
         (
             "face-count-vs-dual-interior-vertices",
-            len(s.faces),
-            len(dual_nonopen_vertices),
+            "face_to_dual_vertex",
+            frozenset(range(len(s.faces))),
+            frozenset(range(d.vertex_count)) - dc.open_vertices,
         ),
         (
             "closed-edges-vs-dual-open-vertices",
-            len(pc.closed_edges),
-            len(dc.open_vertices),
-        ),
-        (
-            "interior-edges-vs-dual-interior-edges",
-            len(pc.interior_edges),
-            len(dc.interior_edges),
-        ),
-        (
-            "closed-vertices-vs-dual-open-edges",
-            len(pc.closed_vertices),
-            len(dc.open_edges),
-        ),
-        (
-            "nonboundary-vertices-vs-dual-interior-faces",
-            len(nonboundary_primal),
-            len(dc.interior_faces),
-        ),
-        (
-            "closed-vertices-vs-dual-open-faces",
-            len(pc.closed_vertices),
-            len(dual_open_faces_set),
-        ),
-    ]
-    for code, lhs, rhs in identities:
-        if lhs != rhs:
-            out.append(Violation(code, (), f"{lhs} != {rhs}"))
-
-    maps = [
-        (
-            "face_to_dual_vertex",
-            c.face_to_dual_vertex,
-            frozenset(range(len(s.faces))),
-            dual_nonopen_vertices,
-        ),
-        (
             "closed_boundary_edge_to_dual_open_vertex",
-            c.closed_boundary_edge_to_dual_open_vertex,
             pc.closed_edges,
             dc.open_vertices,
         ),
         (
+            "interior-edges-vs-dual-interior-edges",
             "interior_edge_to_dual_edge",
-            c.interior_edge_to_dual_edge,
             pc.interior_edges,
             dc.interior_edges,
         ),
         (
+            "closed-vertices-vs-dual-open-edges",
             "closed_boundary_vertex_to_dual_open_edge",
-            c.closed_boundary_vertex_to_dual_open_edge,
             pc.closed_vertices,
             dc.open_edges,
         ),
         (
+            "nonboundary-vertices-vs-dual-interior-faces",
             "interior_vertex_to_dual_face",
-            c.interior_vertex_to_dual_face,
-            nonboundary_primal,
+            frozenset(range(s.vertex_count)) - pc.boundary_vertices,
             dc.interior_faces,
         ),
         (
+            "closed-vertices-vs-dual-open-faces",
             "closed_boundary_vertex_to_dual_open_face",
-            c.closed_boundary_vertex_to_dual_open_face,
             pc.closed_vertices,
-            dual_open_faces_set,
+            frozenset(range(len(d.faces))) - dc.interior_faces,
         ),
     ]
-    for name, mapping, domain, codomain in maps:
-        if frozenset(mapping.keys()) != domain:
+    out = [
+        Violation(code, (), f"{len(cells)} != {len(dual_cells)}")
+        for code, _, cells, dual_cells in pairs
+        if len(cells) != len(dual_cells)
+    ]
+    for _, name, cells, dual_cells in pairs:
+        mapping = getattr(c, name)
+        if frozenset(mapping) != cells:
             out.append(
-                Violation(
-                    f"map-domain-{name}", (), f"keys do not match the primal cell class"
-                )
+                Violation(f"map-domain-{name}", (), "keys do not match the primal cell class")
             )
-        values = list(mapping.values())
-        if len(set(values)) != len(values) or frozenset(values) != codomain:
+        if len(mapping) != len(dual_cells) or frozenset(mapping.values()) != dual_cells:
             out.append(
                 Violation(
-                    f"map-range-{name}",
-                    (),
-                    f"values are not a bijection onto the dual cell class",
+                    f"map-range-{name}", (), "values are not a bijection onto the dual cell class"
                 )
             )
     return ValidationReport(tuple(out))

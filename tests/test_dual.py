@@ -22,9 +22,11 @@ from conftest import (
 from homolattice import (
     STRICT_ALL,
     ArchSpec,
+    DualCorrespondence,
     HomolatticeError,
     InvalidSurfaceError,
     ModelingError,
+    OutOfDomainError,
     Surface,
     boundary_maps,
     check_correspondences,
@@ -261,6 +263,15 @@ def test_local_dual_cycle_bad_vertex_is_a_library_error():
         local_dual_cycle(square(), -1)
 
 
+@pytest.mark.parametrize("v", [1.5, 2.0, "1", None, True])
+def test_local_dual_cycle_takes_only_an_int_vertex(v):
+    # A vertex index must be exactly an int: a float, a string, None or a
+    # bool is refused as out of domain, never misread or left to escape as
+    # a TypeError or ValueError.
+    with pytest.raises(OutOfDomainError):
+        local_dual_cycle(square(), v)
+
+
 # ---------------------------------------------------------------------------
 # domain errors and tampering detection
 # ---------------------------------------------------------------------------
@@ -387,3 +398,63 @@ def test_dual_output_is_pinned():
         digest.update(f"{name}\n{to_json(d)}{json.dumps(maps)}\n".encode())
     assert len(members) == 45
     assert digest.hexdigest() == "f0b5ad624e3c67543e4b865cffcee63baaa9e9bc9623a8cc5f04efa2584cc79a"
+
+
+def test_local_dual_cycle_output_is_pinned():
+    # sha256 of local_dual_cycle over every vertex of the corpus, the closed
+    # Klein bottles and the Klein bottles with holes.
+    members = list(CORPUS)
+    members += [(f"klein{L}", klein_bottle(L)) for L in range(3, 7)]
+    members += [(name, klein_bottle(L, dropped, opened)) for name, L, dropped, opened in KLEIN_HOLES]
+    digest = hashlib.sha256()
+    walked = 0
+    for name, s in members:
+        for v in range(s.vertex_count):
+            digest.update(f"{name} {v} {local_dual_cycle(s, v)}\n".encode())
+            walked += 1
+    assert (len(members), walked) == (43, 3195)
+    assert digest.hexdigest() == "e8d234381af7cefe7abdf7f11a75193346d4cf401f79a22fca800e0f26d3290a"
+
+
+def _tampered_correspondences() -> list[tuple[Surface, Surface, DualCorrespondence]]:
+    """Seeded tamperings of each strict corpus member's correspondence: per
+    map a deleted key, a duplicated value and an extra key, then the
+    untampered maps checked against a foreign dual and a foreign primal."""
+    rng = random.Random(20261019)
+    duals = [(s, *dualize(s)) for _, s in STRICT_CORPUS]
+    cases = []
+    for s, d, corr in duals:
+        for f in dataclasses.fields(corr):
+            mapping = getattr(corr, f.name)
+            keys = sorted(mapping)
+            if keys:
+                deleted = dict(mapping)
+                del deleted[rng.choice(keys)]
+                cases.append((s, d, dataclasses.replace(corr, **{f.name: deleted})))
+            if len(keys) >= 2:
+                k1, k2 = rng.sample(keys, 2)
+                duplicated = dict(mapping)
+                duplicated[k1] = mapping[k2]
+                cases.append((s, d, dataclasses.replace(corr, **{f.name: duplicated})))
+            extra = dict(mapping)
+            extra[max(keys, default=-1) + 1 + rng.randrange(3)] = rng.randrange(d.vertex_count + 3)
+            cases.append((s, d, dataclasses.replace(corr, **{f.name: extra})))
+        other_s, other_d, _ = duals[rng.randrange(len(duals))]
+        cases.append((s, other_d, corr))
+        cases.append((other_s, d, corr))
+    return cases
+
+
+def test_check_correspondences_reports_are_pinned():
+    # sha256 of the report text over the seeded tamperings; between them they
+    # raise every one of the 18 violation codes.
+    digest = hashlib.sha256()
+    codes = set()
+    cases = _tampered_correspondences()
+    for s, d, corr in cases:
+        report = check_correspondences(s, d, corr)
+        codes.update(v.code for v in report.violations)
+        digest.update(f"{report}\n".encode())
+    assert len(cases) == 631
+    assert len(codes) == 18
+    assert digest.hexdigest() == "01b869cf43ed1170dd1bca04a4010ae12c2efe340287f748eea9f12e5c63dd06"
