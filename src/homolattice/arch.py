@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .code import distance_x, distance_z, logical_count
-from .errors import HomolatticeError, ModelingError, OutOfDomainError, OverheadError
+from .errors import HomolatticeError, ModelingError, OutOfDomainError, OverheadError, _int
 from .homology import boundary_maps
 from .surface import STRICT_ALL, Edge, Surface, canonicalize, require_valid
 
@@ -99,8 +99,7 @@ class ArchSpec:
             value = getattr(self, name)
             if value is None:
                 continue
-            if type(value) is not int:
-                raise OutOfDomainError(f"{name} must be an integer, got {value!r}")
+            _int(value, name)
             if name not in takes:
                 raise OutOfDomainError(f"{self.family} does not take {name}")
         if self.family in _HOLE_FAMILIES:
@@ -169,17 +168,13 @@ def _square_cells(L: int, L2: int, wrap: bool = False):
 
 def gen_plain_square(L: int, L2: int) -> Surface:
     """Square patch of L x L2 faces with a fully closed outer boundary."""
-    if L < 1 or L2 < 1:
-        raise OutOfDomainError("L, L2 must be >= 1")
+    L2 = ArchSpec("plain-square", L=L, L2=L2).resolved().L2
     return _punch(*_square_cells(L, L2))
 
 
 def gen_torus(L: int) -> Surface:
     """Periodic L x L square lattice (closed surface, no boundary)."""
-    if L < 3:
-        raise OutOfDomainError(
-            "torus needs L >= 3: smaller periods create parallel edges"
-        )
+    ArchSpec("torus", L=L).resolved()
     return _punch(*_square_cells(L, L, wrap=True))
 
 
@@ -224,8 +219,7 @@ def _rotated_cells(L: int, L2: int):
 def gen_rotated_square(L: int, L2: int) -> Surface:
     """45-degree rotated square patch: 2*L*L2 + L + L2 vertices, 4*L*L2
     edges, 2*L*L2 - L - L2 + 1 faces, fully closed."""
-    if L < 1 or L2 < 1:
-        raise OutOfDomainError("L, L2 must be >= 1")
+    L2 = ArchSpec("rotated-square", L=L, L2=L2).resolved().L2
     _, edges, faces, coords = _rotated_cells(L, L2)
     return _punch(edges, faces, coords)
 
@@ -278,17 +272,25 @@ def _ball(ai: int, bj: int, t: int) -> list[tuple[int, int]]:
     ]
 
 
+def _positive(**params: int) -> None:
+    """Refuse any of the lattice-size ``params`` that is not an ``int`` of
+    at least 1 with ``OutOfDomainError``."""
+    for name, value in params.items():
+        if _int(value, name) < 1:
+            raise OutOfDomainError(f"{name} must be >= 1, got {value}")
+
+
 def square_hole_lattice_size(h: int, t: int) -> int:
     """Plain-lattice side with h holes per row: margins and gaps of 4t-1
     faces around t-by-t holes."""
+    _positive(h=h, t=t)
     return h * (5 * t - 1) + (4 * t - 1)
 
 
 def gen_square_hole(h: int, h2: int, t: int) -> Surface:
     """Plain square lattice punctured by an h x h2 grid of t x t closed
     holes; one qubit per hole, distance 4t on both sides."""
-    if h < 1 or h2 < 1 or t < 1:
-        raise OutOfDomainError("h, h2, t must all be >= 1")
+    h2 = ArchSpec("square-hole", h=h, h2=h2, t=t).resolved().h2
     L = square_hole_lattice_size(h, t)
     L2 = square_hole_lattice_size(h2, t)
     edges, faces, coords = _square_cells(L, L2)
@@ -306,6 +308,7 @@ def diamond_hole_lattice_size(h: int, t: int) -> int:
     """Rotated-lattice side for h radius-t holes per row with hole centers
     10t-4 apart and 9t-4 from the boundary (both exactly saturating the
     4(2t-1) dual-path distance)."""
+    _positive(h=h, t=t)
     return h * (5 * t - 2) + (4 * t - 2)
 
 
@@ -313,8 +316,7 @@ def gen_diamond_hole(h: int, h2: int, t: int) -> Surface:
     """Rotated lattice punctured by an h x h2 grid of radius-t face balls
     (2t^2+2t+1 faces each), fully closed; one qubit per hole, distance
     4(2t-1)."""
-    if h < 1 or h2 < 1 or t < 1:
-        raise OutOfDomainError("h, h2, t must all be >= 1")
+    h2 = ArchSpec("diamond-hole", h=h, h2=h2, t=t).resolved().h2
     L = diamond_hole_lattice_size(h, t)
     L2 = diamond_hole_lattice_size(h2, t)
     _, edges, faces, coords = _rotated_cells(L, L2)
@@ -330,6 +332,7 @@ def gen_diamond_hole(h: int, h2: int, t: int) -> Surface:
 def mixed_diamond_pitch(t: int) -> int:
     """Hole-center spacing for the mixed family: 4t, except that radius-1
     hole rims would touch at that pitch, so t = 1 uses 6."""
+    _positive(t=t)
     return max(4 * t, 2 * t + 4)
 
 
@@ -338,6 +341,7 @@ def mixed_diamond_margin(t: int) -> int:
     boundary X-paths of exactly 2t), except that rim vertices reach Chebyshev
     distance t+1 from the center and would land on the lattice boundary at
     t = 1, so the margin is never below t+3."""
+    _positive(t=t)
     return max(3 * t, t + 3)
 
 
@@ -346,12 +350,14 @@ def mixed_diamond_side_length(t: int) -> int:
     radius-t rim hold 2t edges each and are opened with one edge trimmed off
     both ends, except at t = 1 where trimming would leave nothing open (and
     drop the per-hole qubit count), so the full 2-edge sides open."""
+    _positive(t=t)
     return 2 * t - 2 if t >= 2 else 2
 
 
 def mixed_diamond_lattice_size(h: int, t: int) -> int:
     """Rotated-lattice side for the mixed family: margins around centers
     spaced by the pitch."""
+    _positive(h=h, t=t)
     return mixed_diamond_margin(t) + (h - 1) * mixed_diamond_pitch(t) // 2
 
 
@@ -365,8 +371,7 @@ def gen_mixed_diamond_hole(h: int, h2: int, t: int) -> Surface:
     with one open and one closed side.  Encodes 3*h*h2 - 1 qubits with target
     distance 2t.
     """
-    if h < 1 or h2 < 1 or t < 1:
-        raise OutOfDomainError("h, h2, t must all be >= 1")
+    h2 = ArchSpec("mixed-diamond-hole", h=h, h2=h2, t=t).resolved().h2
     L = mixed_diamond_lattice_size(h, t)
     L2 = mixed_diamond_lattice_size(h2, t)
     vid, edges, faces, coords = _rotated_cells(L, L2)
@@ -437,10 +442,15 @@ def family_formulas(spec: ArchSpec) -> tuple[int, int, int | None]:
 
 
 def overhead(n: int, k: int, d: int) -> Fraction:
-    """Exact overhead ratio n / (k d^2)."""
-    if k <= 0 or d <= 0:
+    """Exact overhead ratio n / (k d^2) of exact ints.
+
+    Raises:
+        OutOfDomainError: if ``n``, ``k`` or ``d`` is not exactly an ``int``.
+        OverheadError: if ``k`` or ``d`` is not positive.
+    """
+    if _int(k, "k") <= 0 or _int(d, "d") <= 0:
         raise OverheadError(f"overhead undefined for k={k}, d={d}")
-    return Fraction(n, k * d * d)
+    return Fraction(_int(n, "n"), k * d * d)
 
 
 def generate(spec: ArchSpec) -> Surface:

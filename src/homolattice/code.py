@@ -42,6 +42,7 @@ from .errors import (
     NoLogicalsError,
     OutOfDomainError,
     UnsupportedTopologyError,
+    _int,
 )
 from .f2 import (
     BinaryMatrix,
@@ -156,8 +157,12 @@ def k_uniform(g: int, orientable: bool, b_c: int, b_o: int) -> int:
     (g instead of 2g otherwise).  The hole terms use max, not min: each extra
     hole of either kind past the first adds one qubit, and the first hole of
     a kind adds none (see the counting note in the README).
+
+    Raises:
+        OutOfDomainError: if ``g``, ``b_c`` or ``b_o`` is not exactly an
+            ``int`` (a bool is not) or is negative.
     """
-    if g < 0 or b_c < 0 or b_o < 0:
+    if min(_int(g, "g"), _int(b_c, "b_c"), _int(b_o, "b_o")) < 0:
         raise OutOfDomainError("genus and hole counts must be non-negative")
     handle = 2 * g if orientable else g
     return handle + max(b_c - 1, 0) + max(b_o - 1, 0)
@@ -168,10 +173,14 @@ def k_mixed(g: int, orientable: bool, b: int, m: int) -> int:
     split by ``m > 1`` disjoint open paths in total.
 
     Returns 2g + b + m - 2 (orientable) or g + b + m - 2.
+
+    Raises:
+        OutOfDomainError: if ``g``, ``b`` or ``m`` is not exactly an ``int``
+            (a bool is not), ``g`` or ``b`` is negative, or ``m`` <= 1.
     """
-    if g < 0 or b < 0:
+    if _int(g, "g") < 0 or _int(b, "b") < 0:
         raise OutOfDomainError("genus and hole count must be non-negative")
-    if m <= 1:
+    if _int(m, "m") <= 1:
         raise OutOfDomainError(
             "the mixed-hole count formula needs m > 1 open paths; "
             "use logical_count on the concrete surface instead"
@@ -398,7 +407,7 @@ def _bruteforce(
     a: BinaryMatrix, b: BinaryMatrix, w_max: int, side: str
 ) -> DistanceResult | Exhausted:
     """Subset enumeration by increasing weight on the side ``(a, b)``."""
-    if w_max < 1:
+    if _int(w_max, "w_max") < 1:
         raise OutOfDomainError(f"weight cap must be >= 1, got {w_max}")
     n = a.cols
     trivial = _echelon(b.row_bits)
@@ -425,7 +434,8 @@ def distance_bruteforce_oracle(
     <= ``w_max``.  Independent of the exact search's machinery.
 
     Raises:
-        OutOfDomainError: if ``w_max`` < 1 (no cycle has weight below 1).
+        OutOfDomainError: if ``w_max`` is not exactly an ``int`` (a bool is
+            not) or is < 1 (no cycle has weight below 1).
     """
     return _bruteforce(*_sides(_complex(s), "primal"), w_max, "primal")
 
@@ -480,17 +490,6 @@ def distance_x(s: Surface | ChainComplex, method: str = "exact") -> DistanceResu
 
 # ---------------------------------------------------------------------------
 # Logical bases.
-
-
-def _permute_bits(bits_in: int, new_pos_of_old_pos: list[int], n: int) -> BitVector:
-    """Move bit ``i`` of ``bits_in`` to position ``new_pos_of_old_pos[i]``."""
-    bits = 0
-    rest = bits_in
-    while rest:
-        low = rest & -rest
-        bits |= 1 << new_pos_of_old_pos[low.bit_length() - 1]
-        rest ^= low
-    return BitVector(n, bits)
 
 
 def _dual_maps(cx: ChainComplex) -> tuple[list[int], BinaryMatrix, BinaryMatrix]:
@@ -559,22 +558,31 @@ def logical_basis_generic(s: Surface | ChainComplex) -> LogicalBasis:
     cx = _complex(s)
     require_valid(cx.surface, STRICT_ALL)
     k = h1_dim(cx)
-    if k == 0:
-        return LogicalBasis(pairs=())
     n = len(cx.interior_edges)
     order, dual_d1, dual_d2t = _dual_maps(cx)
     z_ops = [BitVector(n, z) for z in _quotient_basis(cx.d1, cx._d2t)]
-    x_ops = [_permute_bits(x, order, n) for x in _quotient_basis(dual_d1, dual_d2t)]
+    x_ops = [
+        BitVector.from_support(n, [order[j] for j in BitVector(n, x).support])
+        for x in _quotient_basis(dual_d1, dual_d2t)
+    ]
+    return _paired(z_ops, x_ops, k, "generic basis")
+
+
+def _paired(
+    z_ops: list[BitVector], x_ops: list[BitVector], k: int, method: str
+) -> LogicalBasis:
+    """The symplectic basis of ``k`` Z and ``k`` X representatives; a count
+    other than ``k`` or a degenerate pairing is a modeling failure of
+    ``method``."""
     if len(z_ops) != k or len(x_ops) != k:
         raise ModelingError(
-            f"homology representative counts ({len(z_ops)} Z, {len(x_ops)} X) "
-            f"do not match dim H1 = {k}"
+            f"{method} gave {len(z_ops)} Z and {len(x_ops)} X representatives "
+            f"for dim H1 = {k}"
         )
     try:
-        pairs = symplectic_pairing(z_ops, x_ops)
+        return LogicalBasis(pairs=tuple(symplectic_pairing(z_ops, x_ops)))
     except DegeneratePairingError as exc:
-        raise ModelingError(f"logical pairing is degenerate: {exc}") from exc
-    return LogicalBasis(pairs=tuple(pairs))
+        raise ModelingError(f"{method} pairing is degenerate: {exc}") from exc
 
 
 def _groups(s: Surface, eis: list[int]) -> list[list[int]]:
@@ -588,49 +596,51 @@ def _groups(s: Surface, eis: list[int]) -> list[list[int]]:
 
 
 def _bfs_path(
-    adjacency: list[list[tuple[int, int]]],
-    sources: list[int],
+    adj: list[list[tuple[int, int]]],
+    sources: list[int] | set[int],
     targets: set[int],
-) -> list[int] | None:
-    """Deterministic multi-source BFS on ``homology._graph`` adjacency;
-    returns the qubit positions of a shortest source-to-target path, or
-    None."""
-    parents: dict[int, tuple[int, int]] = {}
-    queue: deque[int] = deque()
-    for v in sorted(sources):
-        if v not in parents:
-            parents[v] = (-1, -1)
-            queue.append(v)
-        if v in targets:
-            return []
+    n: int,
+    gap: str,
+) -> BitVector:
+    """The qubits of a shortest path from ``sources`` to ``targets`` in the
+    ``homology._graph`` adjacency ``adj``, as a vector of length ``n``.
+
+    The search is breadth-first from every source at once, in ascending
+    order, and each node's neighbours are taken in list order, so the path
+    is deterministic; a source in ``targets`` gives the empty path.
+
+    Raises:
+        UnsupportedTopologyError: with the message ``gap`` if no source
+            reaches a target.
+    """
+    parent: dict[int, tuple[int, int] | None] = dict.fromkeys(sorted(sources))
+    queue = deque(parent)
     while queue:
         v = queue.popleft()
-        for w, ei in adjacency[v]:
-            if w in parents:
-                continue
-            parents[w] = (v, ei)
-            if w in targets:
-                path = []
-                cur = w
-                while parents[cur][0] != -1:
-                    prev, eidx = parents[cur]
-                    path.append(eidx)
-                    cur = prev
-                return path[::-1]
-            queue.append(w)
-    return None
+        if v in targets:
+            bits = 0
+            while parent[v] is not None:
+                v, ei = parent[v]
+                bits |= 1 << ei
+            return BitVector(n, bits)
+        for w, ei in adj[v]:
+            if w not in parent:
+                parent[w] = (v, ei)
+                queue.append(w)
+    raise UnsupportedTopologyError(gap)
 
 
 def logical_basis_boundary_strategy(s: Surface | ChainComplex) -> LogicalBasis:
     """Geometric symplectic basis for genus-0 surfaces with boundary.
 
-    Z logicals: every maximal non-open rim run but the last (in deterministic
-    order) taken as a chain, plus, for every open-rim hole but the last, a
-    shortest non-open path connecting it to the last open-rim hole.  X
-    logicals: shortest dual paths linking each chosen run's dual terminals to
-    the last run's, plus the edge cut around each chosen open hole's rim
-    vertex set.  The raw pairing matrix is block-triangular with identity
-    blocks, so symplectic normalization always succeeds.
+    Two kinds of boundary link, each made by one loop.  Every maximal
+    non-open rim run but the last (in deterministic order) gives a Z logical,
+    the run taken as a chain, and an X logical, a shortest dual path from
+    the run's dual terminals to the last run's.  Every open-rim hole but the
+    last gives a Z logical, a shortest non-open path from its open vertices
+    to the last open-rim hole's, and an X logical, the edge cut around its
+    rim vertex set.  The raw pairing matrix is block-triangular with
+    identity blocks, so symplectic normalization always succeeds.
 
     Everything is read off the complex, with no boundary classification
     and no dual surface.  The rims are grouped, not walked: the holes are
@@ -644,6 +654,7 @@ def logical_basis_boundary_strategy(s: Surface | ChainComplex) -> LogicalBasis:
     canonical dual's edge order, so the paths are the ones a BFS on the
     dual surface finds.  The open-hole Z paths run on the graph of the
     qubits' own end vertices, each vertex's neighbours in qubit order.
+    Both searches are :func:`_bfs_path`.
 
     Raises:
         InvalidSurfaceError: if ``s`` is not strictly valid.
@@ -661,76 +672,37 @@ def logical_basis_boundary_strategy(s: Surface | ChainComplex) -> LogicalBasis:
     runs = _groups(s, list(end_of))
     holes = _groups(s, sorted([*end_of, *(ei for ei, e in enumerate(s.edges) if e.open)]))
     open_holes = [hole for hole in holes if any(s.edges[ei].open for ei in hole)]
-    lc = len(runs)
-    bo = len(open_holes)
-    expected = (lc - 1 if lc >= 1 else 0) + (bo - 1 if bo >= 1 else 0)
+    expected = max(len(runs) - 1, 0) + max(len(open_holes) - 1, 0)
     if expected != k:
         raise UnsupportedTopologyError(
             f"boundary structure explains {expected} logical qubits but "
             f"dim H1 = {k}; the strategy covers connected genus-0 surfaces only"
         )
-    if k == 0:
-        return LogicalBasis(pairs=())
-
     n = len(cx.interior_edges)
-
     z_ops: list[BitVector] = []
     x_ops: list[BitVector] = []
-
-    if lc >= 1:
+    if len(runs) > 1:
         dual_adj = _graph(cx.face_count + len(end_of), ends)
         for neighbours in dual_adj:
             neighbours.sort()
-        run_terminals = [[end_of[ei] for ei in run] for run in runs]
-        last_terminals = set(run_terminals[-1])
-        for i in range(lc - 1):
-            z_ops.append(cx.edge_chain(runs[i]))
-            dual_path = _bfs_path(dual_adj, run_terminals[i], last_terminals)
-            if dual_path is None:
-                raise UnsupportedTopologyError(
-                    "dual lattice does not connect the boundary runs"
-                )
-            x_ops.append(BitVector.from_support(n, dual_path))
-
-    if bo >= 1:
-        adj = _graph(s.vertex_count, (s.edges[ei].endpoints() for ei in cx.interior_edges))
-        open_vertex_sets = []
-        rim_vertex_sets = []
-        for hole in open_holes:
-            ov = set()
-            rv = set()
-            for ei in hole:
-                e = s.edges[ei]
-                rv.update((e.u, e.v))
-                if e.open:
-                    ov.update((e.u, e.v))
-            open_vertex_sets.append(ov)
-            rim_vertex_sets.append(rv)
-        last_open = open_vertex_sets[-1]
-        for i in range(bo - 1):
-            path = _bfs_path(adj, sorted(open_vertex_sets[i]), last_open)
-            if path is None:
-                raise UnsupportedTopologyError(
-                    "non-open edges do not connect the open-rim holes"
-                )
-            z_ops.append(BitVector.from_support(n, path))
-            ring = [
-                ei
-                for ei in cx.interior_edges
-                if (s.edges[ei].u in rim_vertex_sets[i])
-                != (s.edges[ei].v in rim_vertex_sets[i])
-            ]
-            x_ops.append(cx.edge_chain(ring))
-
-    try:
-        pairs = symplectic_pairing(z_ops, x_ops)
-    except DegeneratePairingError as exc:
-        raise ModelingError(f"boundary-strategy pairing is degenerate: {exc}") from exc
-    if len(pairs) != k:
-        raise ModelingError(
-            f"boundary strategy produced {len(pairs)} pairs, expected {k}"
-        )
-    return LogicalBasis(pairs=tuple(pairs))
+        terminals = [[end_of[ei] for ei in run] for run in runs]
+        last = set(terminals[-1])
+        gap = "dual lattice does not connect the boundary runs"
+        for run, sources in zip(runs, terminals[:-1]):
+            z_ops.append(cx.edge_chain(run))
+            x_ops.append(_bfs_path(dual_adj, sources, last, n, gap))
+    if len(open_holes) > 1:
+        qubit_ends = {ei: s.edges[ei].endpoints() for ei in cx.interior_edges}
+        adj = _graph(s.vertex_count, qubit_ends.values())
+        rim_edges = [[s.edges[ei] for ei in hole] for hole in open_holes]
+        opens = [{w for e in rim if e.open for w in e.endpoints()} for rim in rim_edges]
+        rims = [{w for e in rim for w in e.endpoints()} for rim in rim_edges]
+        gap = "non-open edges do not connect the open-rim holes"
+        for sources, rim in zip(opens[:-1], rims):
+            z_ops.append(_bfs_path(adj, sources, opens[-1], n, gap))
+            cut = [ei for ei, (u, v) in qubit_ends.items() if (u in rim) != (v in rim)]
+            x_ops.append(cx.edge_chain(cut))
+    return _paired(z_ops, x_ops, k, "boundary strategy")
 
 
 def verify_logical_basis(s: Surface | ChainComplex, basis: LogicalBasis) -> None:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ModelingError, OutOfDomainError
+from .errors import ModelingError, OutOfDomainError, _int
 from .homology import ChainComplex, _build_unchecked
 from .surface import (
     STRICT_ALL,
@@ -85,9 +85,7 @@ def local_dual_cycle(s: Surface, v: int) -> list[tuple[str, int]]:
             or not a vertex index of ``s``.
     """
     require_valid(s)
-    if type(v) is not int:
-        raise OutOfDomainError(f"vertex index must be an integer, got {v!r}")
-    if not 0 <= v < s.vertex_count:
+    if not 0 <= _int(v, "vertex index") < s.vertex_count:
         raise OutOfDomainError(f"vertex index {v} out of range")
     incidence = _edge_faces(s)
     slots: dict[int, list[int]] = {}  # each face at v -> its two edges at v

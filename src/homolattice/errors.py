@@ -2,7 +2,9 @@
 
 Every anticipated failure raises a subclass of :class:`HomolatticeError`, so
 callers (and the CLI, which maps them to exit status 1) can catch one type.
-Anything else escaping the library is a bug.
+Anything else escaping the library is a bug.  ``_int`` is the one check
+that a parameter is exactly an ``int``; ``ArchSpec`` and the generators, the
+closed forms, the brute-force weight cap and ``local_dual_cycle`` share it.
 """
 
 from __future__ import annotations
@@ -68,3 +70,14 @@ class OutOfDomainError(HomolatticeError, ValueError):
 
 class OverheadError(HomolatticeError):
     """Overhead n/(k*d^2) is undefined because k = 0 or d = 0."""
+
+
+def _int(value, name: str) -> int:
+    """``value`` itself if it is exactly an ``int`` (a bool is not).
+
+    Raises:
+        OutOfDomainError: naming ``name`` otherwise.
+    """
+    if type(value) is not int:
+        raise OutOfDomainError(f"{name} must be an integer, got {value!r}")
+    return value

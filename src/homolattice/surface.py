@@ -250,11 +250,15 @@ def validate(s: Surface, strict: frozenset[str] | set[str] = frozenset()) -> Val
     violations unless ``"no-distance-one"`` is asked for.
 
     Raises:
-        OutOfDomainError: if ``strict`` names an unknown flag.
+        OutOfDomainError: if ``strict`` is not a collection of flag names or
+            names an unknown flag.
     """
-    unknown = set(strict) - STRICT_ALL
+    try:
+        unknown = set(strict) - STRICT_ALL
+    except TypeError:
+        raise OutOfDomainError(f"strict flags must be a set of names, got {strict!r}") from None
     if unknown:
-        raise OutOfDomainError(f"unknown strict flags: {sorted(unknown)}")
+        raise OutOfDomainError(f"unknown strict flags: {sorted(unknown, key=str)}")
     report = s._report
     if report.ok or NO_DISTANCE_ONE in strict:
         return report

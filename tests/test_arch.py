@@ -245,6 +245,24 @@ def test_gen_torus_domain():
 
 
 @pytest.mark.parametrize(
+    ("gen", "args"),
+    [
+        (gen_torus, (3.0,)),
+        (gen_plain_square, (True, True)),
+        (gen_rotated_square, (2, "2")),
+        (gen_square_hole, (1, 1, 1.0)),
+        (gen_diamond_hole, (1, 1, True)),
+        (gen_mixed_diamond_hole, (1, 1.5, 1)),
+    ],
+    ids=["torus-float", "plain-bools", "rotated-str", "square-float", "diamond-bool", "mixed-float"],
+)
+def test_generators_read_their_parameters_exactly(gen, args):
+    # The generators read their parameters as ArchSpec does: exactly int.
+    with pytest.raises(OutOfDomainError):
+        gen(*args)
+
+
+@pytest.mark.parametrize(
     ("L", "L2", "V", "E", "F"),
     [(1, 1, 4, 4, 1), (2, 2, 12, 16, 5), (3, 4, 31, 48, 18)],
 )

@@ -54,6 +54,8 @@ from homolattice import (
     logical_basis_generic,
     kernel_basis,
     logical_count,
+    mixed_diamond_pitch,
+    overhead,
     validate,
     verify_logical_basis,
 )
@@ -391,6 +393,46 @@ def test_bruteforce_oracle_rejects_cap_below_one(w_max):
         distance_bruteforce_oracle(dict(CORPUS)["torus3"], w_max)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: k_uniform(1.5, True, 0, 0),
+        lambda: k_uniform(True, True, 0, 0),
+        lambda: k_uniform(0, True, 2, 2.0),
+        lambda: k_mixed(0, True, 2, 2.0),
+        lambda: k_mixed(0, True, True, 2),
+        lambda: mixed_diamond_pitch(0),
+        lambda: mixed_diamond_pitch(True),
+        lambda: overhead(1.5, 1, 1),
+        lambda: overhead(10, True, 3),
+        lambda: distance_bruteforce_oracle(dict(CORPUS)["torus3"], 2.5),
+        lambda: distance_bruteforce_oracle(dict(CORPUS)["torus3"], True),
+        lambda: validate(dict(CORPUS)["torus3"], None),
+        lambda: validate(dict(CORPUS)["torus3"], [1, "girth"]),
+    ],
+    ids=[
+        "k_uniform-float-genus",
+        "k_uniform-bool-genus",
+        "k_uniform-float-holes",
+        "k_mixed-float-paths",
+        "k_mixed-bool-holes",
+        "pitch-zero",
+        "pitch-bool",
+        "overhead-float",
+        "overhead-bool",
+        "oracle-float-cap",
+        "oracle-bool-cap",
+        "validate-none-flags",
+        "validate-mixed-flags",
+    ],
+)
+def test_closed_forms_and_caps_take_exact_ints(call):
+    # A float, a bool, or a flag set that is not a set of names is out of the
+    # domain, not read as a number or escaped as a TypeError.
+    with pytest.raises(OutOfDomainError):
+        call()
+
+
 def test_exact_distance_of_many_logical_fixture():
     s = dict(CORPUS)["d4221"]  # dim H1 = 11
     assert distance_z(s).d == 3
@@ -596,6 +638,44 @@ def test_logical_bases_are_pinned():
     assert len(rows) == 96
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert digest == "b2c2f73caf5d6068be0f4c87c0cf99dcae2f399e5274dd95150117f923a68d94"
+
+
+def test_logical_bases_and_refusals_are_pinned():
+    # sha256 of each basis method's repr, or its error type and text, on the
+    # whole corpus, Klein bottles with and without holes, the benchmark's
+    # basis-roundtrip members and 100 seeded random surfaces.  Unlike the pin
+    # above it keeps every refusal, so the refusal messages are pinned too.
+    rng = random.Random(7)
+    members = list(CORPUS)
+    members += [(f"klein{L}", klein_bottle(L)) for L in range(3, 7)]
+    members += [(name, klein_bottle(L, *cells)) for name, L, *cells in KLEIN_HOLES]
+    members += [
+        ("-".join(map(str, m)), generate(ArchSpec(m[0], h=m[1], h2=m[2], t=m[3])))
+        for m in ROUNDTRIP
+    ]
+    members += [(f"random/{i}", random_surface(rng)) for i in range(100)]
+    rows = []
+    outcomes: dict[str, int] = {}
+    for name, s in members:
+        cx = boundary_maps(s)
+        for method, extract in (
+            ("generic", logical_basis_generic),
+            ("boundary", logical_basis_boundary_strategy),
+        ):
+            try:
+                out, kind = repr(extract(cx)), "basis"
+            except HomolatticeError as exc:
+                kind = type(exc).__name__
+                out = f"{kind}: {exc}"
+            outcomes[kind] = outcomes.get(kind, 0) + 1
+            rows.append([name, method, out])
+    assert outcomes == {
+        "basis": 254,
+        "UnsupportedTopologyError": 28,
+        "InvalidSurfaceError": 12,
+    }
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "00cb666f605a0c259ba3e833f43ab28796210534f02ca93fc5e3bc57768b6c58"
 
 
 def test_dual_maps_are_the_dual_surfaces_maps():
