@@ -239,19 +239,30 @@ def _punch(
     left edgeless; reindex densely, mark ``open_edges`` (old indices), and
     return the canonicalized, strictly valid surface.  With nothing dropped
     every edge and vertex of the generators' lattices is kept, so the
-    numbering is unchanged."""
-    kept_faces = [f for key, f in faces.items() if key not in dropped]
-    kept_edge_ids = sorted({ei for f in kept_faces for ei in f})
-    new_edge_id = {ei: i for i, ei in enumerate(kept_edge_ids)}
-    used_vertices = sorted({w for ei in kept_edge_ids for w in edges[ei]})
-    new_vertex_id = {v: i for i, v in enumerate(used_vertices)}
-    new_edges = tuple(
-        Edge(new_vertex_id[edges[ei][0]], new_vertex_id[edges[ei][1]], ei in open_edges)
-        for ei in kept_edge_ids
-    )
-    new_faces = tuple(tuple(map(new_edge_id.__getitem__, f)) for f in kept_faces)
-    new_coords = tuple(coords[v] for v in used_vertices)
-    s, _, _ = canonicalize(Surface(len(used_vertices), new_edges, new_faces, new_coords))
+    numbering is unchanged and no remap is built (a lattice that left a
+    cell unused would fail the validation below)."""
+    if dropped:
+        kept_faces = [f for key, f in faces.items() if key not in dropped]
+        kept_edge_ids = sorted({ei for f in kept_faces for ei in f})
+        new_edge_id = {ei: i for i, ei in enumerate(kept_edge_ids)}
+        used_vertices = sorted({w for ei in kept_edge_ids for w in edges[ei]})
+        new_vertex_id = {v: i for i, v in enumerate(used_vertices)}
+        new_edges = tuple(
+            Edge(new_vertex_id[edges[ei][0]], new_vertex_id[edges[ei][1]], ei in open_edges)
+            for ei in kept_edge_ids
+        )
+        new_faces = tuple(tuple(map(new_edge_id.__getitem__, f)) for f in kept_faces)
+        new_coords = tuple(coords[v] for v in used_vertices)
+    else:
+        # One int object per vertex, shared by its edges as the remap's are,
+        # keeps the surface as small as a remapped one.
+        vertex = list(range(len(coords)))
+        new_edges = tuple(
+            Edge(vertex[u], vertex[v], ei in open_edges) for ei, (u, v) in enumerate(edges)
+        )
+        new_faces = tuple(faces.values())
+        new_coords = tuple(coords)
+    s, _, _ = canonicalize(Surface(len(new_coords), new_edges, new_faces, new_coords))
     require_valid(s, STRICT_ALL)
     return s
 

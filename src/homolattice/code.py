@@ -27,7 +27,9 @@ from a tree-cotree split of this graph and of the graph of the opposite
 stabilizers, in linear time and without an F2 elimination.  A breadth-first
 tree from each root, carrying path signatures, turns every non-tree edge
 into a fundamental cycle; the lightest one with non-zero signature is the
-distance, and its edge set is a certified witness.  The search is
+distance, and its edge set is a certified witness.  The roots that find
+the distance are the ends of edges with a non-zero signature; a second pass
+skips the roots too far from those to find the witness.  The search is
 polynomial in the surface size, whatever m is.
 """
 
@@ -42,6 +44,7 @@ from .errors import (
     NoLogicalsError,
     OutOfDomainError,
     UnsupportedTopologyError,
+    _bool,
     _int,
 )
 from .f2 import (
@@ -160,11 +163,12 @@ def k_uniform(g: int, orientable: bool, b_c: int, b_o: int) -> int:
 
     Raises:
         OutOfDomainError: if ``g``, ``b_c`` or ``b_o`` is not exactly an
-            ``int`` (a bool is not) or is negative.
+            ``int`` (a bool is not) or is negative, or if ``orientable`` is
+            not exactly a ``bool``.
     """
     if min(_int(g, "g"), _int(b_c, "b_c"), _int(b_o, "b_o")) < 0:
         raise OutOfDomainError("genus and hole counts must be non-negative")
-    handle = 2 * g if orientable else g
+    handle = 2 * g if _bool(orientable, "orientable") else g
     return handle + max(b_c - 1, 0) + max(b_o - 1, 0)
 
 
@@ -176,7 +180,8 @@ def k_mixed(g: int, orientable: bool, b: int, m: int) -> int:
 
     Raises:
         OutOfDomainError: if ``g``, ``b`` or ``m`` is not exactly an ``int``
-            (a bool is not), ``g`` or ``b`` is negative, or ``m`` <= 1.
+            (a bool is not), ``g`` or ``b`` is negative, ``m`` <= 1, or
+            ``orientable`` is not exactly a ``bool``.
     """
     if _int(g, "g") < 0 or _int(b, "b") < 0:
         raise OutOfDomainError("genus and hole count must be non-negative")
@@ -185,7 +190,7 @@ def k_mixed(g: int, orientable: bool, b: int, m: int) -> int:
             "the mixed-hole count formula needs m > 1 open paths; "
             "use logical_count on the concrete surface instead"
         )
-    handle = 2 * g if orientable else g
+    handle = 2 * g if _bool(orientable, "orientable") else g
     return handle + b + m - 2
 
 
@@ -304,6 +309,64 @@ def _signatures(
     return sigs, m
 
 
+def _root_bfs(
+    adj: list[list[tuple[int, int]]],
+    sigs: list[int],
+    state: list[list[int]],
+    root: int,
+    best: int,
+) -> tuple[int, int]:
+    """One root's BFS of :func:`_exact_min_cycle`, after which the root is
+    removed.  Returns the weight and edge bits of the lightest candidate
+    below ``best`` (the first of that weight), or ``(best, 0)``.
+
+    ``state`` holds the per-root arrays: ``stamp[v] == root`` marks v as
+    reached from this root and a removed root keeps the stamp -2; depth,
+    path signature, parent and parent edge are valid only where stamped.
+    """
+    stamp, depth, psig, parent, parent_pos = state
+    best_bits = 0
+
+    def path_bits(node: int) -> int:
+        bits = 0
+        while node != root:
+            bits ^= 1 << parent_pos[node]
+            node = parent[node]
+        return bits
+
+    stamp[root] = root
+    depth[root] = psig[root] = 0
+    parent_pos[root] = -1
+    level = [root]
+    d = 0
+    while level and 2 * d + 1 < best:
+        nxt: list[int] = []
+        for u in level:
+            psig_u = psig[u]
+            tree_pos = parent_pos[u]
+            for v, pos in adj[u]:
+                if pos == tree_pos:
+                    continue
+                mark = stamp[v]
+                if mark != root:
+                    if mark != -2:
+                        stamp[v] = root
+                        depth[v] = d + 1
+                        psig[v] = psig_u ^ sigs[pos]
+                        parent[v] = u
+                        parent_pos[v] = pos
+                        nxt.append(v)
+                    continue
+                weight = d + depth[v] + 1
+                if parent_pos[v] != pos and weight < best and psig_u ^ sigs[pos] ^ psig[v]:
+                    best = weight
+                    best_bits = path_bits(u) ^ path_bits(v) ^ (1 << pos)
+        level = nxt
+        d += 1
+    stamp[root] = -2
+    return best, best_bits
+
+
 def _exact_min_cycle(
     adj: list[list[tuple[int, int]]],
     adj_b: list[list[tuple[int, int]]],
@@ -320,26 +383,52 @@ def _exact_min_cycle(
     terminal.  Each qubit edge keeps its tree-cotree signature
     (:func:`_signatures`), so a relative cycle is an even-degree edge set of
     this graph and it is non-trivial exactly when its signature is non-zero.
-    Roots are visited terminal first, then in node order.  From each root a
-    BFS records depth, parent edge and path signature; every non-tree edge
-    (u, v) it meets whose fundamental cycle ``psig[u] ^ sig ^ psig[v]`` is
-    non-zero is a candidate of weight ``depth[u] + depth[v] + 1`` (edges with
-    both ends at the terminal are loops there).  A root stops expanding once
-    ``2 * depth + 1`` reaches the best weight, and is then removed from the
-    graph.  The cost is polynomial and does not depend on dim H1.
+    From a root, a BFS (:func:`_root_bfs`) records depth, parent edge and
+    path signature; every non-tree edge (u, v) it meets whose fundamental
+    cycle ``psig[u] ^ sig ^ psig[v]`` is non-zero is a candidate of weight
+    ``depth[u] + depth[v] + 1`` (edges with both ends at the terminal are
+    loops there).  A root stops expanding once ``2 * depth + 1`` reaches the
+    best weight, and is then removed from the graph.  The cost is
+    polynomial and does not depend on dim H1.
 
-    Why the smallest candidate is the distance: a minimum non-trivial
-    relative cycle C is a simple cycle of the merged graph (an even-degree
-    edge set splits into simple cycles whose signatures add up).  Let v be the
-    first root in the visiting order that lies on C; when v runs, no earlier
-    root is on C, so all of C is still in the graph.  C is the XOR of the
-    fundamental cycles (for the BFS tree T_v) of its non-tree edges, and the
-    signature is linear, so one of them has a non-zero signature.  Every edge
-    of C has a fundamental walk of length <= |C|, so some candidate weighs at
-    most |C|.  Conversely every candidate's XOR set is a non-trivial relative
-    cycle, so its weight, at most the candidate's, is at least |C|.  Hence
-    the smallest candidate weighs exactly |C|, and its XOR set (the two tree
-    paths plus the edge) is a witness of that weight.
+    Why the smallest candidate over a root order is the distance, when that
+    order holds a node of every minimum non-trivial cycle: such a cycle C is
+    a simple cycle of the merged graph (an even-degree edge set splits into
+    simple cycles whose signatures add up).  Let v be the first root on C;
+    when v runs, no earlier root is on C, so all of C is still in the graph.
+    C is the XOR of the fundamental cycles (for the BFS tree T_v) of its
+    non-tree edges, and the signature is linear, so one of them has a
+    non-zero signature.  Every edge of C has a fundamental walk of length
+    <= |C|, so some candidate weighs at most |C|.  Conversely every
+    candidate's XOR set is a non-trivial relative cycle, so its weight, at
+    most the candidate's, is at least |C|.  Hence the smallest candidate
+    weighs exactly |C|.
+
+    The search runs in two passes (after Erickson & Whittlesey, SODA 2005).
+    Pass 1 finds d.  Its roots are the terminal and then, in node order,
+    the support nodes: the ends of qubit edges with a non-zero signature.
+    A non-trivial cycle has a non-zero signature, so it holds such an edge
+    and one of its nodes is a root.
+
+    Pass 2 finds the witness of a single pass that roots a BFS at every
+    node, terminal first and then in node order: its first candidate of
+    weight d.  Pass 2 replays that order with the bound d + 1 and returns
+    the first candidate it meets, which weighs d.  A root's BFS reaches its
+    nodes in the same order whatever the bound, and the single pass's bound
+    stays above d until its first weight-d candidate, so it expands every
+    level the replay expands.  A BFS checks a non-tree edge first from its
+    shallower end, at a depth of at most (d - 1) // 2 for a weight-d
+    candidate, a level the bound d + 1 still expands.  So the replay meets
+    the same first weight-d candidate.
+
+    A weight-d candidate from a root is a weight-d non-trivial cycle
+    through the root (its XOR set weighs d, so its two tree paths share
+    only the root).  The cycle holds a support edge, and one end of that
+    edge lies at most (d - 1) // 2 steps from the root along the cycle.  So
+    a root farther than that from every support node meets no such
+    candidate.  One multi-source BFS from the support nodes finds these
+    roots.  Pass 2 removes each of them in its turn without a BFS, so the
+    later roots' BFS trees are those of the single pass.
     """
     sigs, m = _signatures(adj, adj_b, n)
     if m != h1:
@@ -348,59 +437,35 @@ def _exact_min_cycle(
         raise NoLogicalsError("surface encodes no logical qubits (dim H1 = 0)")
 
     nodes = len(adj)
-    # Per-root BFS state; stamp[v] == root marks v as reached from this root,
-    # and a removed root keeps the stamp -2.
-    stamp = [-1] * nodes
-    depth = [0] * nodes
-    psig = [0] * nodes
-    parent = [0] * nodes
-    parent_pos = [0] * nodes
-    best = n + 1
-    best_bits = 0
-    for root in (nodes - 1, *range(nodes - 1)):
+    terminal = nodes - 1
+    support = [any(sigs[pos] for _, pos in edges) for edges in adj]
+    state = [[-1] * nodes, [0] * nodes, [0] * nodes, [0] * nodes, [0] * nodes]
+    best = n + 1  # pass 1: d
+    for root in (terminal, *range(terminal)):
+        if root == terminal or support[root]:
+            best = _root_bfs(adj, sigs, state, root, best)[0]
 
-        def path_bits(node: int) -> int:
-            bits = 0
-            while node != root:
-                bits ^= 1 << parent_pos[node]
-                node = parent[node]
-            return bits
-
-        stamp[root] = root
-        depth[root] = psig[root] = 0
-        parent_pos[root] = -1
-        level = [root]
-        d = 0
-        while level and 2 * d + 1 < best:
-            nxt: list[int] = []
-            for u in level:
-                psig_u = psig[u]
-                tree_pos = parent_pos[u]
-                for v, pos in adj[u]:
-                    if pos == tree_pos:
-                        continue
-                    mark = stamp[v]
-                    if mark != root:
-                        if mark != -2:
-                            stamp[v] = root
-                            depth[v] = d + 1
-                            psig[v] = psig_u ^ sigs[pos]
-                            parent[v] = u
-                            parent_pos[v] = pos
-                            nxt.append(v)
-                        continue
-                    weight = d + depth[v] + 1
-                    if parent_pos[v] != pos and weight < best and psig_u ^ sigs[pos] ^ psig[v]:
-                        best = weight
-                        best_bits = path_bits(u) ^ path_bits(v) ^ (1 << pos)
-            level = nxt
-            d += 1
-        stamp[root] = -2
-    if not best_bits:
-        raise ModelingError(
-            "signature search found no non-trivial cycle despite dim H1 >= 1"
-        )
-    return best, BitVector(n, best_bits)
+    near = support[:]  # pass 2: the nodes within (d - 1) // 2 of the support
+    level = [v for v in range(nodes) if near[v]]
+    for _ in range((best - 1) // 2):
+        nxt = []
+        for u in level:
+            for v, _ in adj[u]:
+                if not near[v]:
+                    near[v] = True
+                    nxt.append(v)
+        level = nxt
+    stamp = state[0] = [-1] * nodes
+    for root in (terminal, *range(terminal)):
+        if not near[root]:
+            stamp[root] = -2
+            continue
+        weight, bits = _root_bfs(adj, sigs, state, root, best + 1)
+        if bits:
+            return weight, BitVector(n, bits)
+    raise ModelingError(
+        "signature search found no non-trivial cycle despite dim H1 >= 1"
+    )
 
 
 def _bruteforce(

@@ -40,7 +40,7 @@ from .surface import (
     ValidationReport,
     Violation,
     _classify_unchecked,
-    _edge_faces,
+    _surface,
     canonicalize,
     require_valid,
     validate,
@@ -79,6 +79,9 @@ def local_dual_cycle(s: Surface, v: int) -> list[tuple[str, int]]:
     reading).  An interior vertex's walk starts at its lowest face index,
     entering through the edge toward the higher-indexed neighbor so that
     it heads toward the lower one, and stops on returning to that face.
+    The walk reads the surface's edge -> face and vertex -> edge links,
+    which are built on the first call and kept on the surface, so later
+    calls cost O(deg v).
 
     Raises:
         OutOfDomainError: if ``v`` is not exactly an ``int`` (a bool is not)
@@ -87,12 +90,11 @@ def local_dual_cycle(s: Surface, v: int) -> list[tuple[str, int]]:
     require_valid(s)
     if not 0 <= _int(v, "vertex index") < s.vertex_count:
         raise OutOfDomainError(f"vertex index {v} out of range")
-    incidence = _edge_faces(s)
+    incidence, edges_at = s._links
     slots: dict[int, list[int]] = {}  # each face at v -> its two edges at v
-    for ei, e in enumerate(s.edges):
-        if v in (e.u, e.v):
-            for fi in incidence[ei]:
-                slots.setdefault(fi, []).append(ei)
+    for ei in edges_at[v]:
+        for fi in incidence[ei]:
+            slots.setdefault(fi, []).append(ei)
 
     def across(fi: int, ei: int) -> int | None:
         """The face on the other side of ``ei`` from ``fi``; None off a boundary edge."""
@@ -216,7 +218,12 @@ def check_correspondences(
     that maps one onto the other.  The report lists the failed identities
     first, then each map's ``map-domain-*`` and ``map-range-*`` failures, in
     table order.  Returns an empty report iff everything holds.
+
+    Raises:
+        OutOfDomainError: if ``s`` or ``d`` is not a ``Surface``.
     """
+    _surface(s)
+    _surface(d)
     pc = _classify_unchecked(s)
     dc = _classify_unchecked(d)
     # (identity code, correspondence field, primal class, dual class)

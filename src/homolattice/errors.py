@@ -5,6 +5,8 @@ callers (and the CLI, which maps them to exit status 1) can catch one type.
 Anything else escaping the library is a bug.  ``_int`` is the one check
 that a parameter is exactly an ``int``; ``ArchSpec`` and the generators, the
 closed forms, the brute-force weight cap and ``local_dual_cycle`` share it.
+``_bool`` is its twin for flags, which the closed forms' ``orientable``
+takes.
 """
 
 from __future__ import annotations
@@ -80,4 +82,15 @@ def _int(value, name: str) -> int:
     """
     if type(value) is not int:
         raise OutOfDomainError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _bool(value, name: str) -> bool:
+    """``value`` itself if it is exactly a ``bool``.
+
+    Raises:
+        OutOfDomainError: naming ``name`` otherwise.
+    """
+    if type(value) is not bool:
+        raise OutOfDomainError(f"{name} must be a bool, got {value!r}")
     return value

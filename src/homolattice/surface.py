@@ -87,8 +87,9 @@ class Surface:
 
     Faces reference edges by index.  ``coords`` (one (x, y) pair per vertex) is
     carried for rendering only and never affects any computation.  The
-    strict validation report is computed once per object and cached; it is
-    not a field, so equality, hashing and ``dataclasses.replace`` ignore it.
+    strict validation report and the cell links that ``local_dual_cycle``
+    reads are computed once per object and cached; they are not fields, so
+    equality, hashing and ``dataclasses.replace`` ignore them.
     """
 
     vertex_count: int
@@ -123,6 +124,16 @@ class Surface:
     @cached_property
     def _report(self) -> ValidationReport:
         return _check(self)
+
+    @cached_property
+    def _links(self) -> tuple[list[list[int]], list[list[int]]]:
+        """Each edge's faces and each vertex's edges, in index order; built
+        once per object, on the first ``local_dual_cycle`` call."""
+        edges_at: list[list[int]] = [[] for _ in range(self.vertex_count)]
+        for ei, e in enumerate(self.edges):
+            edges_at[e.u].append(ei)
+            edges_at[e.v].append(ei)
+        return _edge_faces(self), edges_at
 
 
 @dataclass(frozen=True)
@@ -179,6 +190,16 @@ class BoundaryClassification:
     def nonboundary_vertices(self, s: Surface) -> frozenset[int]:
         """Vertices not on the boundary at all (V minus all boundary vertices)."""
         return frozenset(range(s.vertex_count)) - self.boundary_vertices
+
+
+def _surface(s) -> None:
+    """Refuse anything but a :class:`Surface` where one enters the library.
+
+    Raises:
+        OutOfDomainError: if ``s`` is not a ``Surface``.
+    """
+    if not isinstance(s, Surface):
+        raise OutOfDomainError(f"expected a Surface, got {type(s).__name__}")
 
 
 def _edge_faces(s: Surface) -> list[list[int]]:
@@ -250,9 +271,10 @@ def validate(s: Surface, strict: frozenset[str] | set[str] = frozenset()) -> Val
     violations unless ``"no-distance-one"`` is asked for.
 
     Raises:
-        OutOfDomainError: if ``strict`` is not a collection of flag names or
-            names an unknown flag.
+        OutOfDomainError: if ``s`` is not a ``Surface``, or if ``strict`` is
+            not a collection of flag names or names an unknown flag.
     """
+    _surface(s)
     try:
         unknown = set(strict) - STRICT_ALL
     except TypeError:
@@ -548,6 +570,7 @@ def canonicalize(s: Surface) -> tuple[Surface, list[int], list[int]]:
     the bit-stable JSON format.  Faces that are not valid cycles are kept as
     sorted index lists (validation will report them).
     """
+    _surface(s)
     keyed = []
     for ei, e in enumerate(s.edges):
         u, v = (e.u, e.v) if e.u <= e.v else (e.v, e.u)
@@ -684,8 +707,9 @@ def from_json(text: str) -> Surface:
 
 
 def save_surface(s: Surface, path) -> None:
+    text = to_json(s)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_json(s))
+        fh.write(text)
 
 
 def load_surface(path) -> Surface:

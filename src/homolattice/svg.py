@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .errors import OutOfDomainError
-from .surface import Surface, classify_boundary
+from .surface import Surface, _surface, classify_boundary
 
 __all__ = ["render_svg"]
 
@@ -48,10 +48,11 @@ def render_svg(s: Surface, *, show_open_dotted: bool = True) -> str:
     same continuous style as closed ones (type information is then invisible).
 
     Raises:
-        OutOfDomainError: if ``s`` has no coordinates or no vertices, or if
-            its coordinates span too far for the drawing's width or height to
-            be finite.
+        OutOfDomainError: if ``s`` is not a ``Surface``, has no coordinates
+            or no vertices, or if its coordinates span too far for the
+            drawing's width or height to be finite.
     """
+    _surface(s)
     if s.coords is None:
         raise OutOfDomainError("surface carries no drawing coordinates")
     if s.vertex_count == 0:

@@ -433,6 +433,24 @@ def test_closed_forms_and_caps_take_exact_ints(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: k_uniform(1, "no", 0, 0),
+        lambda: k_uniform(1, 0, 0, 0),
+        lambda: k_uniform(1, None, 0, 0),
+        lambda: k_mixed(1, 1, 1, 2),
+        lambda: k_mixed(1, "yes", 1, 2),
+    ],
+    ids=["k_uniform-str", "k_uniform-zero", "k_uniform-none", "k_mixed-one", "k_mixed-str"],
+)
+def test_closed_forms_read_orientable_exactly(call):
+    # orientable is a flag: a string, a number or None is out of the domain,
+    # not read by truthiness ("no" as orientable).
+    with pytest.raises(OutOfDomainError):
+        call()
+
+
 def test_exact_distance_of_many_logical_fixture():
     s = dict(CORPUS)["d4221"]  # dim H1 = 11
     assert distance_z(s).d == 3

@@ -5,10 +5,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import random
 
 import pytest
 
+import homolattice as hl
 from conftest import (
     CORPUS,
     CORPUS_IDS,
@@ -583,3 +585,52 @@ def test_from_json_dict_rejects_malformed():
             from_json_dict(bad)
     with pytest.raises(InvalidSurfaceError):
         from_json("[1, 2]")
+
+
+# ---------------------------------------------------------------------------
+# a surface argument that is not a Surface
+# ---------------------------------------------------------------------------
+
+
+def _surface_entries():
+    good = dict(STRICT_CORPUS)["sq111"]
+    dual, corr = hl.dualize(good)
+    return {
+        "validate": hl.validate,
+        "require_valid": hl.require_valid,
+        "classify_boundary": hl.classify_boundary,
+        "kappa_no_open_vertex": hl.kappa_no_open_vertex,
+        "kappa_no_closed_boundary_edge": hl.kappa_no_closed_boundary_edge,
+        "canonicalize": hl.canonicalize,
+        "to_json_dict": hl.to_json_dict,
+        "to_json": hl.to_json,
+        "save_surface": lambda s: hl.save_surface(s, os.devnull),
+        "boundary_maps": hl.boundary_maps,
+        "cycle_space_dim": hl.cycle_space_dim,
+        "h1_dim": hl.h1_dim,
+        "h1_dim_oracle": hl.h1_dim_oracle,
+        "is_relative_cycle": lambda s: hl.is_relative_cycle(s, hl.BitVector(1, 0)),
+        "is_trivial_cycle": lambda s: hl.is_trivial_cycle(s, hl.BitVector(1, 0)),
+        "local_dual_cycle": lambda s: hl.local_dual_cycle(s, 0),
+        "dualize": hl.dualize,
+        "check_correspondences-primal": lambda s: hl.check_correspondences(s, dual, corr),
+        "check_correspondences-dual": lambda s: hl.check_correspondences(good, s, corr),
+        "build_css": hl.build_css,
+        "logical_count": hl.logical_count,
+        "distance_z": hl.distance_z,
+        "distance_x": hl.distance_x,
+        "distance_bruteforce_oracle": lambda s: hl.distance_bruteforce_oracle(s, 2),
+        "logical_basis_generic": hl.logical_basis_generic,
+        "logical_basis_boundary_strategy": hl.logical_basis_boundary_strategy,
+        "verify_logical_basis": lambda s: hl.verify_logical_basis(s, hl.LogicalBasis(())),
+        "render_svg": hl.render_svg,
+    }
+
+
+@pytest.mark.parametrize("bad", [None, "x", 1.5], ids=["none", "str", "float"])
+@pytest.mark.parametrize("entry", sorted(_surface_entries()))
+def test_a_non_surface_argument_is_a_domain_error(entry, bad):
+    # Each public function that takes a surface refuses anything else with
+    # a HomolatticeError, not an AttributeError on a missing field.
+    with pytest.raises(HomolatticeError):
+        _surface_entries()[entry](bad)
