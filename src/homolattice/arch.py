@@ -24,7 +24,14 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .code import distance_x, distance_z, logical_count
-from .errors import HomolatticeError, ModelingError, OutOfDomainError, OverheadError, _int
+from .errors import (
+    HomolatticeError,
+    ModelingError,
+    OutOfDomainError,
+    OverheadError,
+    _instance,
+    _int,
+)
 from .homology import boundary_maps
 from .surface import STRICT_ALL, Edge, Surface, canonicalize, require_valid
 
@@ -429,7 +436,7 @@ def gen_mixed_diamond_hole(h: int, h2: int, t: int) -> Surface:
 def family_formulas(spec: ArchSpec) -> tuple[int, int, int | None]:
     """Closed-form (n, k, d) predictions for a resolved spec; d is None for
     the plain and rotated patches (no encoded qubits)."""
-    r = spec.resolved()
+    r = _instance(spec, ArchSpec).resolved()
     if r.family == "plain-square":
         return 2 * r.L * r.L2 + r.L + r.L2, 0, None
     if r.family == "rotated-square":
@@ -466,7 +473,7 @@ def overhead(n: int, k: int, d: int) -> Fraction:
 
 def generate(spec: ArchSpec) -> Surface:
     """Build the surface described by ``spec``."""
-    r = spec.resolved()
+    r = _instance(spec, ArchSpec).resolved()
     if r.family == "plain-square":
         return gen_plain_square(r.L, r.L2)
     if r.family == "rotated-square":
@@ -525,7 +532,7 @@ def evaluate(spec: ArchSpec, compute_distance: bool = False) -> ArchReport:
     shortest open-to-open paths to 3 -- and is reported through the ordinary
     match flag.)
     """
-    r = spec.resolved()
+    r = _instance(spec, ArchSpec).resolved()
     cx = boundary_maps(generate(r))
     formula_n, formula_k, formula_d = family_formulas(r)
     n = len(cx.interior_edges)
@@ -563,7 +570,9 @@ def compare_table(
     specs: list[ArchSpec], compute_distance: bool = False
 ) -> list[ArchReport]:
     """Evaluate each spec; per-spec failures become error rows, preserving
-    batch order."""
+    batch order.  ``specs`` must be a list or tuple of :class:`ArchSpec`,
+    checked before any is evaluated."""
+    specs = [_instance(spec, ArchSpec) for spec in _instance(specs, (list, tuple))]
     out = []
     for spec in specs:
         try:
@@ -599,7 +608,8 @@ def reports_to_csv(reports: list[ArchReport]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(_CSV_COLUMNS)
-    for r in reports:
+    for r in _instance(reports, (list, tuple)):
+        _instance(r, ArchReport)
         ov = "" if r.overhead is None else f"{float(r.overhead):.6g}"
         match = "error" if r.error is not None else ("yes" if r.match else "no")
         writer.writerow(
@@ -624,6 +634,7 @@ def reports_to_csv(reports: list[ArchReport]) -> str:
 
 
 def report_to_json_dict(r: ArchReport) -> dict:
+    _instance(r, ArchReport)
     return {
         "family": r.spec.family,
         "h": r.spec.h,

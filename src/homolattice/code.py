@@ -45,6 +45,7 @@ from .errors import (
     OutOfDomainError,
     UnsupportedTopologyError,
     _bool,
+    _instance,
     _int,
 )
 from .f2 import (
@@ -780,7 +781,7 @@ def verify_logical_basis(s: Surface | ChainComplex, basis: LogicalBasis) -> None
     """
     cx = _complex(s)
     k = h1_dim(cx)
-    if basis.k != k:
+    if _instance(basis, LogicalBasis).k != k:
         raise ModelingError(f"basis has {basis.k} pairs, dim H1 = {k}")
     d2t = cx._d2t
     trivial = _echelon(d2t.row_bits)

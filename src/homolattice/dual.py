@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ModelingError, OutOfDomainError, _int
+from .errors import ModelingError, OutOfDomainError, _instance, _int
 from .homology import ChainComplex, _build_unchecked
 from .surface import (
     STRICT_ALL,
@@ -40,7 +40,6 @@ from .surface import (
     ValidationReport,
     Violation,
     _classify_unchecked,
-    _surface,
     canonicalize,
     require_valid,
     validate,
@@ -220,10 +219,12 @@ def check_correspondences(
     table order.  Returns an empty report iff everything holds.
 
     Raises:
-        OutOfDomainError: if ``s`` or ``d`` is not a ``Surface``.
+        OutOfDomainError: if ``s`` or ``d`` is not a ``Surface``, or ``c``
+            not a ``DualCorrespondence``.
     """
-    _surface(s)
-    _surface(d)
+    _instance(s, Surface)
+    _instance(d, Surface)
+    _instance(c, DualCorrespondence)
     pc = _classify_unchecked(s)
     dc = _classify_unchecked(d)
     # (identity code, correspondence field, primal class, dual class)

@@ -6,7 +6,8 @@ Anything else escaping the library is a bug.  ``_int`` is the one check
 that a parameter is exactly an ``int``; ``ArchSpec`` and the generators, the
 closed forms, the brute-force weight cap and ``local_dual_cycle`` share it.
 ``_bool`` is its twin for flags, which the closed forms' ``orientable``
-takes.
+takes.  ``_instance`` checks the type of any other argument, once, where
+it enters the library.
 """
 
 from __future__ import annotations
@@ -93,4 +94,17 @@ def _bool(value, name: str) -> bool:
     """
     if type(value) is not bool:
         raise OutOfDomainError(f"{name} must be a bool, got {value!r}")
+    return value
+
+
+def _instance(value, cls: type | tuple[type, ...]):
+    """``value`` itself if it is an instance of ``cls``, a type or a tuple
+    of types.
+
+    Raises:
+        OutOfDomainError: naming the expected and the given type otherwise.
+    """
+    if not isinstance(value, cls):
+        names = cls.__name__ if isinstance(cls, type) else " or ".join(c.__name__ for c in cls)
+        raise OutOfDomainError(f"expected {names}, got {type(value).__name__}")
     return value

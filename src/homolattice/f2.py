@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DegeneratePairingError, DimensionError
+from .errors import DegeneratePairingError, DimensionError, _instance
 
 __all__ = [
     "BitVector",
@@ -240,7 +240,7 @@ def _rref(row_bits) -> tuple[list[int], list[int]]:
 
 def rank(m: BinaryMatrix) -> int:
     """F2 rank: the number of pivots in the echelon form."""
-    return len(_echelon(m.row_bits))
+    return len(_echelon(_instance(m, BinaryMatrix).row_bits))
 
 
 def kernel_basis(m: BinaryMatrix) -> list[BitVector]:
@@ -252,7 +252,7 @@ def kernel_basis(m: BinaryMatrix) -> list[BitVector]:
     column of every RREF row with a one at ``f``.  Since the RREF is unique,
     the basis depends only on the row space of ``m``.
     """
-    reduced, pivots = _rref(m.row_bits)
+    reduced, pivots = _rref(_instance(m, BinaryMatrix).row_bits)
     kernel = [0] * m.cols
     for p_col, p_row in zip(pivots, reduced):
         rest = p_row ^ (1 << p_col)
@@ -270,7 +270,7 @@ def kernel_basis(m: BinaryMatrix) -> list[BitVector]:
 
 def in_span(m: BinaryMatrix, v: BitVector) -> bool:
     """True iff ``v`` is an F2 combination of the rows of ``m``."""
-    if v.length != m.cols:
+    if _instance(v, BitVector).length != _instance(m, BinaryMatrix).cols:
         raise DimensionError(
             f"in_span: vector length {v.length} != row length {m.cols}"
         )
@@ -290,11 +290,11 @@ def symplectic_pairing(
         DegeneratePairingError: if any input is left unpaired (pairing matrix
             rank below ``len(z_ops) == len(x_ops)``); reports the achieved rank.
     """
-    all_ops = list(z_ops) + list(x_ops)
+    xs = list(_instance(x_ops, (list, tuple)))
+    zs = list(_instance(z_ops, (list, tuple)))
+    all_ops = [_instance(v, BitVector) for v in zs + xs]
     if all_ops and any(v.length != all_ops[0].length for v in all_ops):
         raise DimensionError("symplectic_pairing: mixed vector lengths")
-    xs = list(x_ops)
-    zs = list(z_ops)
     pairs: list[tuple[BitVector, BitVector]] = []
     while xs and zs:
         hit = None

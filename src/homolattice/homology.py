@@ -7,8 +7,9 @@ and non-open vertices, with boundary maps
     d1: F2^(interior edges) -> F2^(interior vertices)
 
 ``d1 @ d2 == 0`` always holds on a valid surface; it is re-checked at build
-time and a failure raises :class:`ModelingError`, since everything downstream
-(commuting stabilizers, logical counting) depends on it.
+time, face by face, and a failure raises :class:`ModelingError`, since
+everything downstream (commuting stabilizers, logical counting) depends on
+it.
 
 ``h1_dim`` computes dim ker(d1)/im(d2) two ways — a counting formula with
 connected-component correction terms, and n - rank(d1) - rank(d2^T), the
@@ -18,14 +19,15 @@ checks the other orientation.
 
 The formula's two component counts are read off the complex itself: the
 open vertices are those with no row of d1, and the closed boundary edges
-are the qubits whose row of d2 has one bit.
+are the qubits with one face.
 
 The :class:`ChainComplex` that :func:`boundary_maps` returns is the analysis
 of its surface: every homology and code function accepts it in place of the
-surface.  One pass over the cells fills d1, d2 and d2^T together, with no
-boundary classification and no transpose.  Everything else derived from the
-surface is computed on demand, once per complex: dim H1 and the graphs of
-d1 and d2^T that the distance search walks.  The complex also holds the
+surface.  One pass over the cells fills d1, d2^T and each qubit's faces
+together, with no boundary classification and no transpose.  Everything
+else derived from the surface is computed on demand, once per complex:
+dim H1, the graphs of d1 and d2^T that the distance search walks, and d2
+itself, which only :func:`h1_dim_oracle` reads.  The complex also holds the
 dual: its X side (d2^T, d1) is the dual's (d1, d2^T) up to cell order, and
 ``_dual_ends`` numbers the dual's vertices, so the dual surface itself is
 read off the complex by :func:`homolattice.dual.dualize`.
@@ -36,8 +38,9 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import count
 
-from .errors import ModelingError, OutOfDomainError
+from .errors import ModelingError, OutOfDomainError, _instance
 from .f2 import BinaryMatrix, BitVector, in_span, rank
 from .surface import Surface, _kappa, require_valid
 
@@ -71,12 +74,12 @@ class ChainComplex:
     ``interior_vertices`` / ``interior_edges`` are the ascending non-open cell
     indices; position in these tuples is the row/column in ``d1`` and the row
     in ``d2``.  ``d2`` columns are indexed by face number directly.
-    ``surface`` is the validated source and ``_d2t`` is d2^T, filled in by
-    the same pass over the cells as d1 and d2.  ``h1`` and the graphs of d1
-    and d2^T are computed on demand and cached.
+    ``surface`` is the validated source; ``_d2t`` is d2^T and
+    ``_qubit_faces`` holds each qubit's one or two faces, ascending, both
+    filled in by the same pass over the cells as d1.  ``d2``, ``h1`` and the
+    graphs of d1 and d2^T are computed on demand and cached.
     """
 
-    d2: BinaryMatrix
     d1: BinaryMatrix
     interior_vertices: tuple[int, ...]
     interior_edges: tuple[int, ...]
@@ -84,7 +87,16 @@ class ChainComplex:
     surface: Surface = field(repr=False, compare=False)
     # d2^T: the Z stabilizers as rows, and the dual's d1 up to cell order
     # (its rows are the faces, which are the dual's vertices).
-    _d2t: BinaryMatrix = field(repr=False, compare=False)
+    _d2t: BinaryMatrix = field(repr=False)
+    _qubit_faces: tuple[list[int], ...] = field(repr=False, compare=False)
+
+    @cached_property
+    def d2(self) -> BinaryMatrix:
+        """d2, one row per qubit with a bit per face, built from each
+        qubit's faces on first use (a closed boundary edge's first face is
+        also its last)."""
+        rows = tuple((1 << f[0]) | (1 << f[-1]) for f in self._qubit_faces)
+        return BinaryMatrix(len(self.interior_edges), self.face_count, rows)
 
     @cached_property
     def vertex_row(self) -> dict[int, int]:
@@ -122,19 +134,14 @@ class ChainComplex:
         return _graph(len(self.interior_vertices) + 1, self._vertex_ends())
 
     def _dual_ends(self) -> Iterator[tuple[int, int]]:
-        """The two dual ends of each qubit in qubit order, read from its row
-        of d2: its two faces, lower first, or for a closed boundary edge its
-        one face and its own end node ``face_count + r``, where r is its
-        rank among the closed boundary edges.  These are the dual's vertex
-        numbers: the faces, then one open vertex per closed boundary edge."""
-        end = self.face_count
-        for bits in self.d2.row_bits:
-            low = (bits & -bits).bit_length() - 1
-            if bits & (bits - 1):
-                yield low, bits.bit_length() - 1
-            else:
-                yield low, end
-                end += 1
+        """The two dual ends of each qubit in qubit order: its two faces,
+        lower first, or for a closed boundary edge its one face and its own
+        end node ``face_count + r``, where r is its rank among the closed
+        boundary edges.  These are the dual's vertex numbers: the faces,
+        then one open vertex per closed boundary edge."""
+        ends = count(self.face_count)
+        for faces in self._qubit_faces:
+            yield faces[0], faces[1] if len(faces) == 2 else next(ends)
 
     @cached_property
     def _d2t_graph(self) -> list[list[tuple[int, int]]]:
@@ -150,12 +157,12 @@ class ChainComplex:
         """The formula's two component counts, read off the complex: the
         components of (V, non-open edges) with no open vertex (the open
         vertices are those with no row of d1), and the components of (V, E)
-        with no closed boundary edge (the qubits whose d2 row has one bit)."""
+        with no closed boundary edge (the qubits with one face)."""
         s = self.surface
         closed = (
             s.edges[ei].u
-            for ei, bits in zip(self.interior_edges, self.d2.row_bits)
-            if not bits & (bits - 1)
+            for ei, faces in zip(self.interior_edges, self._qubit_faces)
+            if len(faces) == 1
         )
         return (
             _kappa(len(self.interior_vertices), self._vertex_ends(), ()),
@@ -188,10 +195,14 @@ class ChainComplex:
 
 
 def _build_unchecked(s: Surface) -> ChainComplex:
-    """d1, d2 and d2^T in one pass over the cells.  Each vertex gets its row
-    of d1, each open vertex the spare row ``len(interior_vertices)``; each
-    edge gets its qubit position, each open edge the spare position ``n``.
-    The spare row and position are dropped."""
+    """d1, d2^T and each qubit's faces in one pass over the cells.  Each
+    vertex gets its row of d1, each open vertex the spare row
+    ``len(interior_vertices)``; each edge gets its qubit position, each open
+    edge the spare position ``n``.  The spare row and position are dropped.
+
+    d1 @ d2 == 0 is checked face by face: the end rows of a face's edges
+    must pair up.  An open edge has both ends at the spare row, so only a
+    vertex the face leaves with odd degree fails."""
     edges = s.edges
     opened = [False] * s.vertex_count
     for e in edges:
@@ -210,23 +221,26 @@ def _build_unchecked(s: Surface) -> ChainComplex:
         e = edges[ei]
         d1_rows[row[e.u]] |= 1 << p
         d1_rows[row[e.v]] |= 1 << p
-    d2_rows = [0] * (n + 1)
+    qubit_faces: list[list[int]] = [[] for _ in range(n + 1)]
     d2t_rows = []
     qubits = (1 << n) - 1
     for fi, face in enumerate(s.faces):
         bits = 0
+        ends = []
         for ei in face:
             p = pos[ei]
-            d2_rows[p] |= 1 << fi
+            qubit_faces[p].append(fi)
             bits |= 1 << p
+            e = edges[ei]
+            ends += row[e.u], row[e.v]
+        ends.sort()
+        if ends[::2] != ends[1::2]:
+            raise ModelingError("d1 @ d2 != 0: boundary maps do not compose to zero")
         d2t_rows.append(bits & qubits)
     d1 = BinaryMatrix(spare_row, n, tuple(d1_rows[:-1]))
-    d2 = BinaryMatrix(n, len(s.faces), tuple(d2_rows[:-1]))
     d2t = BinaryMatrix(len(s.faces), n, tuple(d2t_rows))
-
-    if not d1.matmul(d2).is_zero():
-        raise ModelingError("d1 @ d2 != 0: boundary maps do not compose to zero")
-    return ChainComplex(d2, d1, interior_vertices, interior_edges, len(s.faces), s, d2t)
+    faces = tuple(qubit_faces[:n])
+    return ChainComplex(d1, interior_vertices, interior_edges, len(s.faces), s, d2t, faces)
 
 
 def boundary_maps(s: Surface) -> ChainComplex:
@@ -256,7 +270,8 @@ def cycle_space_dim(s: Surface) -> int:
 
 def h1_dim_oracle(s: Surface | ChainComplex) -> int:
     """dim H1 by direct rank computation: dim ker d1 - dim im d2.  It ranks
-    d2 itself, where ``h1``'s cross-check ranks d2^T."""
+    d2 itself, which the complex builds from each qubit's faces on first
+    use, where ``h1``'s cross-check ranks d2^T."""
     cx = _complex(s)
     return (cx.d1.cols - rank(cx.d1)) - rank(cx.d2)
 
@@ -270,7 +285,7 @@ def h1_dim(s: Surface | ChainComplex) -> int:
 
 def is_relative_cycle(s: Surface | ChainComplex, z: BitVector) -> bool:
     """True iff ``z`` (a vector over the non-open edges) satisfies d1 z = 0."""
-    return not _complex(s).d1.matvec(z)
+    return not _complex(s).d1.matvec(_instance(z, BitVector))
 
 
 def is_trivial_cycle(s: Surface | ChainComplex, z: BitVector) -> bool:
@@ -280,6 +295,6 @@ def is_trivial_cycle(s: Surface | ChainComplex, z: BitVector) -> bool:
         OutOfDomainError: if ``z`` is not a relative cycle.
     """
     cx = _complex(s)
-    if cx.d1.matvec(z):
+    if cx.d1.matvec(_instance(z, BitVector)):
         raise OutOfDomainError("z is not a relative cycle (d1 z != 0)")
     return in_span(cx._d2t, z)

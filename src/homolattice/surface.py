@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
-from .errors import InvalidSurfaceError, OutOfDomainError
+from .errors import InvalidSurfaceError, OutOfDomainError, _instance
 
 __all__ = [
     "Edge",
@@ -192,16 +193,6 @@ class BoundaryClassification:
         return frozenset(range(s.vertex_count)) - self.boundary_vertices
 
 
-def _surface(s) -> None:
-    """Refuse anything but a :class:`Surface` where one enters the library.
-
-    Raises:
-        OutOfDomainError: if ``s`` is not a ``Surface``.
-    """
-    if not isinstance(s, Surface):
-        raise OutOfDomainError(f"expected a Surface, got {type(s).__name__}")
-
-
 def _edge_faces(s: Surface) -> list[list[int]]:
     """For each edge index, the list of faces containing it (in face order)."""
     incidence: list[list[int]] = [[] for _ in s.edges]
@@ -274,7 +265,7 @@ def validate(s: Surface, strict: frozenset[str] | set[str] = frozenset()) -> Val
         OutOfDomainError: if ``s`` is not a ``Surface``, or if ``strict`` is
             not a collection of flag names or names an unknown flag.
     """
-    _surface(s)
+    _instance(s, Surface)
     try:
         unknown = set(strict) - STRICT_ALL
     except TypeError:
@@ -570,7 +561,7 @@ def canonicalize(s: Surface) -> tuple[Surface, list[int], list[int]]:
     the bit-stable JSON format.  Faces that are not valid cycles are kept as
     sorted index lists (validation will report them).
     """
-    _surface(s)
+    _instance(s, Surface)
     keyed = []
     for ei, e in enumerate(s.edges):
         u, v = (e.u, e.v) if e.u <= e.v else (e.v, e.u)
@@ -696,7 +687,9 @@ def from_json(text: str) -> Surface:
         InvalidSurfaceError: on text that does not parse, nests too deeply
             or holds an integer too long to convert, or on a malformed
             surface object.
+        OutOfDomainError: if ``text`` is neither ``str`` nor bytes.
     """
+    _instance(text, (str, bytes, bytearray))
     try:
         d = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -706,16 +699,21 @@ def from_json(text: str) -> Surface:
     return from_json_dict(d)
 
 
+# What a surface file's path may be: a file descriptor is not one.
+_PATH = (str, bytes, os.PathLike)
+
+
 def save_surface(s: Surface, path) -> None:
     text = to_json(s)
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(_instance(path, _PATH), "w", encoding="utf-8") as fh:
         fh.write(text)
 
 
 def load_surface(path) -> Surface:
-    """Read a surface file; every unreadable file is an :class:`InvalidSurfaceError`."""
+    """Read a surface file; every unreadable file is an :class:`InvalidSurfaceError`,
+    and a ``path`` that is not a path an :class:`OutOfDomainError`."""
     try:
-        with open(path, "rb") as fh:
+        with open(_instance(path, _PATH), "rb") as fh:
             data = fh.read()
     except OSError as exc:
         raise InvalidSurfaceError(f"cannot read {path}: {exc}") from exc

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 
-from .errors import OutOfDomainError
-from .surface import Surface, _surface, classify_boundary
+from .errors import OutOfDomainError, _instance
+from .surface import Surface, classify_boundary
 
 __all__ = ["render_svg"]
 
@@ -52,7 +52,7 @@ def render_svg(s: Surface, *, show_open_dotted: bool = True) -> str:
             or no vertices, or if its coordinates span too far for the
             drawing's width or height to be finite.
     """
-    _surface(s)
+    _instance(s, Surface)
     if s.coords is None:
         raise OutOfDomainError("surface carries no drawing coordinates")
     if s.vertex_count == 0:

@@ -11,6 +11,7 @@ from homolattice.surface import _edge_faces
 from conftest import (
     CORPUS,
     CORPUS_IDS,
+    STRICT_CORPUS,
     klein_bottle,
     random_surface,
     square,
@@ -26,14 +27,20 @@ from homolattice import (
     boundary_maps,
     classify_boundary,
     cycle_space_dim,
+    distance_x,
+    distance_z,
+    dualize,
     h1_dim,
     h1_dim_oracle,
     is_relative_cycle,
     is_trivial_cycle,
     kappa_no_closed_boundary_edge,
     kappa_no_open_vertex,
+    logical_basis_boundary_strategy,
+    logical_basis_generic,
     logical_count,
     rank,
+    verify_logical_basis,
 )
 
 # Independently derived first-homology dimensions: 2g for closed orientable
@@ -275,3 +282,41 @@ def test_boundary_maps_requires_valid_surface():
     )
     with pytest.raises(InvalidSurfaceError):
         boundary_maps(bowtie)
+
+
+def test_the_analysis_path_never_builds_d2():
+    # d2 is built from the qubits' faces only when read: counting, both
+    # distances, both bases, their verification and the dual read d1, d2^T
+    # and the recorded faces.
+    cx = boundary_maps(dict(STRICT_CORPUS)["sq111"])
+    assert logical_count(cx) == 1
+    assert distance_z(cx).d == distance_x(cx).d == 4
+    for method in (logical_basis_generic, logical_basis_boundary_strategy):
+        verify_logical_basis(cx, method(cx))
+    dualize(cx)
+    assert "d2" not in vars(cx)
+    assert h1_dim_oracle(cx) == 1
+    assert "d2" in vars(cx)
+
+
+def _two_squares(face: tuple[int, ...]) -> Surface:
+    """Two unit squares sharing edge 1 (vertices 1-3), with one face."""
+    edges = [(0, 1), (1, 3), (3, 2), (2, 0), (1, 4), (4, 5), (5, 3)]
+    return Surface.build(6, edges, [face])
+
+
+def test_build_refuses_a_face_that_is_not_a_cycle():
+    # Edges 0..2 leave vertices 0 and 2 with odd degree in the face, so
+    # d1 @ d2 has a one there; the build checks that face by face.
+    with pytest.raises(ModelingError, match=r"d1 @ d2 != 0"):
+        homolattice.homology._build_unchecked(_two_squares((0, 1, 2)))
+
+
+def test_complexes_with_different_faces_differ():
+    # Same graph, same face count: only the face incidence tells them apart.
+    left = homolattice.homology._build_unchecked(_two_squares((0, 1, 2, 3)))
+    right = homolattice.homology._build_unchecked(_two_squares((1, 4, 5, 6)))
+    assert left.d1 == right.d1
+    assert left != right
+    assert hash(left) != hash(right)
+    assert len({left, right}) == 2
