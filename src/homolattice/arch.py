@@ -22,6 +22,7 @@ import csv
 import io
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 from .code import distance_x, distance_z, logical_count
 from .errors import (
@@ -29,6 +30,7 @@ from .errors import (
     ModelingError,
     OutOfDomainError,
     OverheadError,
+    _bool,
     _instance,
     _int,
 )
@@ -487,12 +489,27 @@ def generate(spec: ArchSpec) -> Surface:
     return gen_mixed_diamond_hole(r.h, r.h2, r.t)
 
 
+def _agree(measured: int | None, formula: int | None) -> bool | None:
+    """Whether a measured value equals its closed form; None if either is
+    missing."""
+    return None if measured is None or formula is None else measured == formula
+
+
 @dataclass(frozen=True)
 class ArchReport:
-    """Computed parameters of one architecture next to its predictions.
+    """What was measured on one architecture; the rest is read off it.
 
-    Distances (and hence ``overhead``) are only present when requested.
-    ``error`` carries a per-spec failure in batch comparisons.
+    ``n`` and ``k`` are the measured qubit and logical counts, ``d_z`` and
+    ``d_x`` the certified distances (present only when requested), and
+    ``error`` a per-spec failure in batch comparisons.  The distance ``d``,
+    the ``overhead``, the closed forms ``formula_n/k/d`` and the match flags
+    are derived on read; the closed forms are computed once per report, and
+    only for a row with a measured ``n`` and no error.
+
+    Raises:
+        OutOfDomainError: if ``spec`` is not an ``ArchSpec``, a count is
+            neither an ``int`` nor None, or ``error`` neither a ``str`` nor
+            None.
     """
 
     spec: ArchSpec
@@ -500,30 +517,70 @@ class ArchReport:
     k: int | None = None
     d_z: int | None = None
     d_x: int | None = None
-    d: int | None = None
-    overhead: Fraction | None = None
-    formula_n: int | None = None
-    formula_k: int | None = None
-    formula_d: int | None = None
-    match_n: bool | None = None
-    match_k: bool | None = None
-    match_d: bool | None = None
     error: str | None = None
+
+    def __post_init__(self):
+        _instance(self.spec, ArchSpec)
+        for name in ("n", "k", "d_z", "d_x"):
+            if getattr(self, name) is not None:
+                _int(getattr(self, name), name)
+        if self.error is not None:
+            _instance(self.error, str)
+
+    @property
+    def d(self) -> int | None:
+        return None if self.d_z is None or self.d_x is None else min(self.d_z, self.d_x)
+
+    @property
+    def overhead(self) -> Fraction | None:
+        # The module's ``overhead`` function; a method body does not see the
+        # class scope.
+        return None if self.d is None else overhead(self.n, self.k, self.d)
 
     @property
     def overhead_decimal(self) -> float | None:
         return None if self.overhead is None else float(self.overhead)
 
+    @cached_property
+    def _formulas(self) -> tuple[int | None, int | None, int | None]:
+        if self.error is not None or self.n is None:
+            return None, None, None
+        return family_formulas(self.spec)
+
+    @property
+    def formula_n(self) -> int | None:
+        return self._formulas[0]
+
+    @property
+    def formula_k(self) -> int | None:
+        return self._formulas[1]
+
+    @property
+    def formula_d(self) -> int | None:
+        return self._formulas[2]
+
+    @property
+    def match_n(self) -> bool | None:
+        return _agree(self.n, self.formula_n)
+
+    @property
+    def match_k(self) -> bool | None:
+        return _agree(self.k, self.formula_k)
+
+    @property
+    def match_d(self) -> bool | None:
+        return _agree(self.d, self.formula_d)
+
     @property
     def match(self) -> bool:
-        if self.error is not None:
-            return False
-        flags = [f for f in (self.match_n, self.match_k, self.match_d) if f is not None]
-        return all(flags)
+        """No error, and every flag that is not None holds."""
+        flags = (self.match_n, self.match_k, self.match_d)
+        return self.error is None and all(f is not False for f in flags)
 
 
 def evaluate(spec: ArchSpec, compute_distance: bool = False) -> ArchReport:
-    """Generate, measure, and compare one architecture against its formulas.
+    """Generate and measure one architecture; the report compares the
+    measurements with the family's closed forms on read.
 
     For the mixed-diamond family a computed distance below 2t means the
     generated layout is faulty and raises :class:`ModelingError` rather than
@@ -531,39 +588,26 @@ def evaluate(spec: ArchSpec, compute_distance: bool = False) -> ArchReport:
     possible -- t = 1 holes cannot trim their open sides, which widens the
     shortest open-to-open paths to 3 -- and is reported through the ordinary
     match flag.)
+
+    Raises:
+        OutOfDomainError: if ``spec`` is not an ``ArchSpec`` or
+            ``compute_distance`` not exactly a ``bool``.
     """
     r = _instance(spec, ArchSpec).resolved()
+    _bool(compute_distance, "compute_distance")
     cx = boundary_maps(generate(r))
-    formula_n, formula_k, formula_d = family_formulas(r)
-    n = len(cx.interior_edges)
     k = logical_count(cx)
-    d_z = d_x = d = None
-    ratio = None
+    d_z = d_x = None
     if compute_distance and k > 0:
         d_z = distance_z(cx).d
         d_x = distance_x(cx).d
         d = min(d_z, d_x)
-        ratio = overhead(n, k, d)
         if r.family == "mixed-diamond-hole" and d < 2 * r.t:
             raise ModelingError(
                 f"mixed-diamond layout {r} is faulty: certified distance {d} "
                 f"< target {2 * r.t}"
             )
-    return ArchReport(
-        spec=r,
-        n=n,
-        k=k,
-        d_z=d_z,
-        d_x=d_x,
-        d=d,
-        overhead=ratio,
-        formula_n=formula_n,
-        formula_k=formula_k,
-        formula_d=formula_d,
-        match_n=n == formula_n,
-        match_k=k == formula_k,
-        match_d=None if d is None or formula_d is None else d == formula_d,
-    )
+    return ArchReport(spec=r, n=len(cx.interior_edges), k=k, d_z=d_z, d_x=d_x)
 
 
 def compare_table(
@@ -571,8 +615,10 @@ def compare_table(
 ) -> list[ArchReport]:
     """Evaluate each spec; per-spec failures become error rows, preserving
     batch order.  ``specs`` must be a list or tuple of :class:`ArchSpec`,
-    checked before any is evaluated."""
+    and ``compute_distance`` exactly a ``bool``, checked before any spec is
+    evaluated."""
     specs = [_instance(spec, ArchSpec) for spec in _instance(specs, (list, tuple))]
+    _bool(compute_distance, "compute_distance")
     out = []
     for spec in specs:
         try:
@@ -582,6 +628,8 @@ def compare_table(
     return out
 
 
+# The CSV columns, in order, named as in ``report_to_json_dict`` except the
+# two distances.
 _CSV_COLUMNS = [
     "family",
     "h",
@@ -598,38 +646,22 @@ _CSV_COLUMNS = [
     "formula_d",
     "match",
 ]
-
-
-def _cell(value) -> str:
-    return "" if value is None else str(value)
+_CSV_KEYS = {"dz": "d_z", "dx": "d_x"}
 
 
 def reports_to_csv(reports: list[ArchReport]) -> str:
+    """One header line, then one line per report: its JSON mapping under
+    ``_CSV_COLUMNS``, with the overhead as ``.6g`` decimal text and the match
+    flag as ``yes``, ``no`` or ``error``; a missing value is an empty cell."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(_CSV_COLUMNS)
     for r in _instance(reports, (list, tuple)):
-        _instance(r, ArchReport)
-        ov = "" if r.overhead is None else f"{float(r.overhead):.6g}"
-        match = "error" if r.error is not None else ("yes" if r.match else "no")
-        writer.writerow(
-            [
-                r.spec.family,
-                _cell(r.spec.h),
-                _cell(r.spec.h2),
-                _cell(r.spec.t),
-                _cell(r.n),
-                _cell(r.k),
-                _cell(r.d_z),
-                _cell(r.d_x),
-                _cell(r.d),
-                ov,
-                _cell(r.formula_n),
-                _cell(r.formula_k),
-                _cell(r.formula_d),
-                match,
-            ]
-        )
+        row = report_to_json_dict(r)
+        if row["overhead"] is not None:
+            row["overhead"] = f"{row['overhead']['decimal']:.6g}"
+        row["match"] = "error" if r.error is not None else ("yes" if r.match else "no")
+        writer.writerow([row[_CSV_KEYS.get(col, col)] for col in _CSV_COLUMNS])
     return buf.getvalue()
 
 

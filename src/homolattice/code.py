@@ -773,7 +773,9 @@ def logical_basis_boundary_strategy(s: Surface | ChainComplex) -> LogicalBasis:
 
 def verify_logical_basis(s: Surface | ChainComplex, basis: LogicalBasis) -> None:
     """Certify a LogicalBasis: counts, pairing, stabilizer commutation, and
-    per-side homological non-triviality.  Raises ModelingError on any failure.
+    per-side homological non-triviality.  Raises ModelingError on any failure,
+    and OutOfDomainError unless ``basis`` is a LogicalBasis whose pairs are a
+    tuple of ``(BitVector, BitVector)`` tuples.
 
     Commutation is the cycle condition: a Z logical commutes with the X
     stabilizers (rows of d1) iff d1 z = 0, and an X logical with the Z
@@ -781,7 +783,12 @@ def verify_logical_basis(s: Surface | ChainComplex, basis: LogicalBasis) -> None
     """
     cx = _complex(s)
     k = h1_dim(cx)
-    if _instance(basis, LogicalBasis).k != k:
+    for pair in _instance(_instance(basis, LogicalBasis).pairs, tuple):
+        if len(_instance(pair, tuple)) != 2:
+            raise OutOfDomainError(f"a logical pair has {len(pair)} entries, expected 2")
+        for v in pair:
+            _instance(v, BitVector)
+    if basis.k != k:
         raise ModelingError(f"basis has {basis.k} pairs, dim H1 = {k}")
     d2t = cx._d2t
     trivial = _echelon(d2t.row_bits)

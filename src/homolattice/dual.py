@@ -219,8 +219,8 @@ def check_correspondences(
     table order.  Returns an empty report iff everything holds.
 
     Raises:
-        OutOfDomainError: if ``s`` or ``d`` is not a ``Surface``, or ``c``
-            not a ``DualCorrespondence``.
+        OutOfDomainError: if ``s`` or ``d`` is not a ``Surface``, ``c``
+            not a ``DualCorrespondence``, or one of its maps not a ``dict``.
     """
     _instance(s, Surface)
     _instance(d, Surface)
@@ -272,7 +272,7 @@ def check_correspondences(
         if len(cells) != len(dual_cells)
     ]
     for _, name, cells, dual_cells in pairs:
-        mapping = getattr(c, name)
+        mapping = _instance(getattr(c, name), dict)
         if frozenset(mapping) != cells:
             out.append(
                 Violation(f"map-domain-{name}", (), "keys do not match the primal cell class")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DegeneratePairingError, DimensionError, _instance
+from .errors import DegeneratePairingError, DimensionError, _instance, _int
 
 __all__ = [
     "BitVector",
@@ -37,9 +37,9 @@ class BitVector:
     bits: int
 
     def __post_init__(self):
-        if self.length < 0:
+        if _int(self.length, "length") < 0:
             raise DimensionError(f"negative vector length {self.length}")
-        if self.bits < 0 or self.bits >> self.length:
+        if _int(self.bits, "bits") < 0 or self.bits >> self.length:
             raise DimensionError(
                 f"bit pattern {self.bits:#x} does not fit in {self.length} coordinates"
             )
@@ -101,14 +101,14 @@ class BinaryMatrix:
     row_bits: tuple[int, ...]
 
     def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+        if _int(self.rows, "rows") < 0 or _int(self.cols, "cols") < 0:
             raise DimensionError(f"negative shape ({self.rows}, {self.cols})")
-        if len(self.row_bits) != self.rows:
+        if len(_instance(self.row_bits, tuple)) != self.rows:
             raise DimensionError(
                 f"{len(self.row_bits)} rows of data for declared {self.rows}"
             )
         for r in self.row_bits:
-            if r < 0 or r >> self.cols:
+            if _int(r, "row") < 0 or r >> self.cols:
                 raise DimensionError(f"row {r:#x} does not fit in {self.cols} columns")
 
     @classmethod

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import OutOfDomainError, _instance
+from .errors import OutOfDomainError, _bool, _instance
 from .surface import Surface, classify_boundary
 
 __all__ = ["render_svg"]
@@ -48,11 +48,13 @@ def render_svg(s: Surface, *, show_open_dotted: bool = True) -> str:
     same continuous style as closed ones (type information is then invisible).
 
     Raises:
-        OutOfDomainError: if ``s`` is not a ``Surface``, has no coordinates
-            or no vertices, or if its coordinates span too far for the
-            drawing's width or height to be finite.
+        OutOfDomainError: if ``s`` is not a ``Surface``,
+            ``show_open_dotted`` is not exactly a ``bool``, ``s`` has no
+            coordinates or no vertices, or its coordinates span too far for
+            the drawing's width or height to be finite.
     """
     _instance(s, Surface)
+    _bool(show_open_dotted, "show_open_dotted")
     if s.coords is None:
         raise OutOfDomainError("surface carries no drawing coordinates")
     if s.vertex_count == 0:
