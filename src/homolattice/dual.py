@@ -40,6 +40,8 @@ from .surface import (
     ValidationReport,
     Violation,
     _classify_unchecked,
+    _fields,
+    _walk_link,
     canonicalize,
     require_valid,
     validate,
@@ -70,14 +72,13 @@ def local_dual_cycle(s: Surface, v: int) -> list[tuple[str, int]]:
     the two boundary edges (boundary vertex), as ``("face", i)`` / ``("edge", i)``
     entries in cyclic order.
 
-    One walk serves both kinds of vertex: it enters a face through one of
-    the face's two edges at ``v``, leaves through the other and crosses
-    that edge into the next face.  A boundary vertex's walk enters through
-    its lower-indexed boundary edge and stops at the other one (the closing
-    edge between the two boundary-edge entries is implicit in the cyclic
-    reading).  An interior vertex's walk starts at its lowest face index,
-    entering through the edge toward the higher-indexed neighbor so that
-    it heads toward the lower one, and stops on returning to that face.
+    One walk, :func:`~homolattice.surface._walk_link`, serves both kinds
+    of vertex and is the one validation runs.  A boundary vertex's walk
+    enters through its lower-indexed boundary edge and stops at the other
+    one (the closing edge between the two boundary-edge entries is implicit
+    in the cyclic reading).  An interior vertex's walk enters its lowest
+    face through the edge toward the higher-indexed neighbor, so that it
+    heads toward the lower one, and stops on coming back through that edge.
     The walk reads the surface's edge -> face and vertex -> edge links,
     which are built on the first call and kept on the surface, so later
     calls cost O(deg v).
@@ -90,34 +91,15 @@ def local_dual_cycle(s: Surface, v: int) -> list[tuple[str, int]]:
     if not 0 <= _int(v, "vertex index") < s.vertex_count:
         raise OutOfDomainError(f"vertex index {v} out of range")
     incidence, edges_at = s._links
-    slots: dict[int, list[int]] = {}  # each face at v -> its two edges at v
-    for ei in edges_at[v]:
-        for fi in incidence[ei]:
-            slots.setdefault(fi, []).append(ei)
-
-    def across(fi: int, ei: int) -> int | None:
-        """The face on the other side of ``ei`` from ``fi``; None off a boundary edge."""
-        fs = incidence[ei]
-        return None if len(fs) == 1 else fs[1] if fs[0] == fi else fs[0]
-
-    stubs = sorted(ei for eis in slots.values() for ei in eis if len(incidence[ei]) == 1)
-    if stubs:
-        edge = stubs[0]
-        face = start = incidence[edge][0]
-        out: list[tuple[str, int]] = [("edge", edge)]
-    else:
-        face = start = min(slots)
-        edge = max(slots[face], key=lambda ei: (across(face, ei), ei))
-        out = []
-    while True:
-        out.append(("face", face))
-        a, b = slots[face]
-        edge = b if a == edge else a
-        face = across(face, edge)
-        if face is None:
-            return out + [("edge", edge)]
-        if face == start:
-            return out
+    eis = edges_at[v]
+    entry = None  # a boundary vertex: the walk's default, its lower stub
+    if all(len(incidence[ei]) == 2 for ei in eis):
+        # Faces are listed in ascending order, so this edge's first face is
+        # the lowest at v and its second the higher of that face's neighbors.
+        entry = min(eis, key=lambda ei: (incidence[ei][0], -incidence[ei][1]))
+    stubs, faces, end = _walk_link(incidence, eis, entry)
+    out = [("face", fi) for fi in faces]
+    return [("edge", stubs[0]), *out, ("edge", end)] if stubs else out
 
 
 def dualize(s: Surface | ChainComplex) -> tuple[Surface, DualCorrespondence]:
@@ -219,11 +201,12 @@ def check_correspondences(
     table order.  Returns an empty report iff everything holds.
 
     Raises:
-        OutOfDomainError: if ``s`` or ``d`` is not a ``Surface``, ``c``
-            not a ``DualCorrespondence``, or one of its maps not a ``dict``.
+        OutOfDomainError: if ``s`` or ``d`` is not a ``Surface`` or has a
+            field of the wrong type, ``c`` is not a ``DualCorrespondence``,
+            or one of its maps is not a ``dict`` from ``int`` to ``int``.
     """
-    _instance(s, Surface)
-    _instance(d, Surface)
+    _fields(_instance(s, Surface))
+    _fields(_instance(d, Surface))
     _instance(c, DualCorrespondence)
     pc = _classify_unchecked(s)
     dc = _classify_unchecked(d)
@@ -273,6 +256,8 @@ def check_correspondences(
     ]
     for _, name, cells, dual_cells in pairs:
         mapping = _instance(getattr(c, name), dict)
+        if not {*map(type, mapping), *map(type, mapping.values())} <= {int}:
+            raise OutOfDomainError(f"{name} must map integers to integers")
         if frozenset(mapping) != cells:
             out.append(
                 Violation(f"map-domain-{name}", (), "keys do not match the primal cell class")

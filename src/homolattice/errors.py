@@ -4,7 +4,8 @@ Every anticipated failure raises a subclass of :class:`HomolatticeError`, so
 callers (and the CLI, which maps them to exit status 1) can catch one type.
 Anything else escaping the library is a bug.  ``_int`` is the one check
 that a parameter is exactly an ``int``; ``ArchSpec`` and the generators, the
-closed forms, the brute-force weight cap and ``local_dual_cycle`` share it.
+closed forms, the brute-force weight cap, ``local_dual_cycle`` and the check
+of a surface's fields share it.
 ``_bool`` is its twin for flags, which the closed forms' ``orientable``
 takes.  ``_instance`` checks the type of any other argument, once, where
 it enters the library.

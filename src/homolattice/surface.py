@@ -23,12 +23,12 @@ from __future__ import annotations
 import json
 import math
 import os
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
-from .errors import InvalidSurfaceError, OutOfDomainError, _instance
+from .errors import InvalidSurfaceError, OutOfDomainError, _bool, _instance, _int
 
 __all__ = [
     "Edge",
@@ -203,10 +203,111 @@ def _edge_faces(s: Surface) -> list[list[int]]:
     return incidence
 
 
-def _face_cycle_order(s: Surface, face: tuple[int, ...]) -> tuple[int, ...] | None:
-    """Canonical traversal of a face, or None unless its edges form one
-    self-avoiding closed cycle (no repeated, out-of-range or loop edge, every
-    vertex of degree 2, and a single closed walk through all of them).
+# The types that a cell list, a face or a coordinate pair, a face entry and a
+# coordinate may have.
+_CELLS = (list, tuple)
+_INT = {int}
+_NUMBERS = {int, float}
+
+
+def _fields(s: Surface) -> None:
+    """Refuse ``s`` if a field has the wrong type.  ``vertex_count``, each
+    edge's ends and each face entry must be exactly ``int``; each edge an
+    :class:`Edge` whose ``open`` is exactly ``bool``; ``edges``, ``faces``
+    and each face a list or tuple; ``coords`` None or a list or tuple of
+    pairs, each a list or tuple of two ``int`` or ``float`` (a bool is
+    neither).
+
+    :func:`validate` (once per surface), :func:`canonicalize` and
+    ``check_correspondences`` call it where a surface enters.  It first
+    collects the set of types each field takes over all cells, which costs
+    less than testing each cell in the loops those functions run; only a
+    surface that fails is read again cell by cell, to name the bad field.
+
+    Raises:
+        OutOfDomainError: naming the first field of the wrong type.
+    """
+    edges, faces, coords = s.edges, s.faces, s.coords
+    if (
+        type(s.vertex_count) is int
+        and type(edges) in _CELLS
+        and type(faces) in _CELLS
+        and {*map(type, edges)} <= {Edge}
+        and {(type(e.u), type(e.v), type(e.open)) for e in edges} <= {(int, int, bool)}
+        and {*map(type, faces)} <= {*_CELLS}
+        and {*map(type, chain.from_iterable(faces))} <= _INT
+        and (
+            coords is None
+            or type(coords) in _CELLS
+            and {*map(type, coords)} <= {*_CELLS}
+            and {*map(len, coords)} <= {2}
+            and {*map(type, chain.from_iterable(coords))} <= _NUMBERS
+        )
+    ):
+        return
+    _int(s.vertex_count, "vertex_count")
+    coords = () if coords is None else coords
+    for name, cells in (("edges", edges), ("faces", faces), ("coords", coords)):
+        if type(cells) not in _CELLS:
+            raise OutOfDomainError(f"{name} must be a list or tuple, got {cells!r}")
+    for i, e in enumerate(edges):
+        if not isinstance(e, Edge):
+            raise OutOfDomainError(f"edges[{i}] must be an Edge, got {e!r}")
+        _int(e.u, f"edges[{i}].u")
+        _int(e.v, f"edges[{i}].v")
+        _bool(e.open, f"edges[{i}].open")
+    for i, face in enumerate(faces):
+        if type(face) not in _CELLS:
+            raise OutOfDomainError(f"faces[{i}] must be a list or tuple, got {face!r}")
+        for ei in face:
+            _int(ei, f"faces[{i}]")
+    for i, c in enumerate(coords):
+        if type(c) not in _CELLS or len(c) != 2 or not {*map(type, c)} <= _NUMBERS:
+            raise OutOfDomainError(f"coords[{i}] must be a pair of numbers, got {c!r}")
+
+
+def _walk_link(
+    incidence: list[list[int]], eis: list[int], entry: int | None = None
+) -> tuple[list[int], list[int], int]:
+    """Walk F_v, the faces at a vertex whose edges are ``eis`` (ascending),
+    given each edge's one or two faces in ascending order in ``incidence``.
+
+    Each face passes the vertex once, through two of its edges, so it is
+    keyed to the XOR of that pair; an edge with one face is a stub.  The
+    walk enters the first face of the ``entry`` edge, by default the first
+    stub (else the lowest edge).  It leaves each face through the face's
+    other edge and crosses that edge into the next face, and stops at a
+    stub, or when the entry edge comes round again.
+
+    Returns ``(stubs, faces, end)``: the stubs in ``eis`` order, the faces
+    met in walk order and the edge the walk stopped at.
+    """
+    corner: dict[int, int] = {}
+    stubs = []
+    for ei in eis:  # a loop over at most two faces, unrolled: it runs on every validation
+        fs = incidence[ei]
+        corner[fs[0]] = corner.get(fs[0], 0) ^ ei
+        if len(fs) == 1:
+            stubs.append(ei)
+        else:
+            corner[fs[1]] = corner.get(fs[1], 0) ^ ei
+    ei = first = (stubs or eis)[0] if entry is None else entry
+    fi = incidence[first][0]
+    faces = []
+    while True:
+        faces.append(fi)
+        ei ^= corner[fi]
+        fs = incidence[ei]
+        if ei == first or len(fs) == 1:
+            return stubs, faces, ei
+        fi = fs[0] ^ fs[1] ^ fi
+
+
+def _face_cycle_order(edges: Sequence[Edge], face: tuple[int, ...]) -> tuple[int, ...] | None:
+    """Canonical traversal of a face over ``edges``, or None unless its
+    edges form one self-avoiding closed cycle (no repeated, out-of-range or
+    loop edge, every vertex of degree 2, and a single closed walk through
+    all of them).
 
     Starts at the lowest edge index and proceeds toward its lower-indexed
     neighbor, yielding a deterministic cyclic order.
@@ -215,9 +316,9 @@ def _face_cycle_order(s: Surface, face: tuple[int, ...]) -> tuple[int, ...] | No
         return None
     at_vertex: dict[int, list[int]] = {}
     for ei in face:
-        if not 0 <= ei < len(s.edges):
+        if not 0 <= ei < len(edges):
             return None
-        e = s.edges[ei]
+        e = edges[ei]
         if e.u == e.v:
             return None
         at_vertex.setdefault(e.u, []).append(ei)
@@ -225,7 +326,7 @@ def _face_cycle_order(s: Surface, face: tuple[int, ...]) -> tuple[int, ...] | No
     if any(len(eids) != 2 for eids in at_vertex.values()):
         return None
     start = min(face)
-    e = s.edges[start]
+    e = edges[start]
     neighbors = []
     for w in (e.u, e.v):
         for other in at_vertex[w]:
@@ -236,7 +337,7 @@ def _face_cycle_order(s: Surface, face: tuple[int, ...]) -> tuple[int, ...] | No
     prev_vertex = via
     while len(order) < len(face):
         cur = order[-1]
-        ahead = s.edges[cur].other(prev_vertex)
+        ahead = edges[cur].other(prev_vertex)
         a, b = at_vertex[ahead]
         cand = b if a == cur else a
         if cand == start:
@@ -262,8 +363,9 @@ def validate(s: Surface, strict: frozenset[str] | set[str] = frozenset()) -> Val
     violations unless ``"no-distance-one"`` is asked for.
 
     Raises:
-        OutOfDomainError: if ``s`` is not a ``Surface``, or if ``strict`` is
-            not a collection of flag names or names an unknown flag.
+        OutOfDomainError: if ``s`` is not a ``Surface`` or has a field of
+            the wrong type (see ``_fields``), or if ``strict`` is not a
+            collection of flag names or names an unknown flag.
     """
     _instance(s, Surface)
     try:
@@ -290,8 +392,10 @@ def _check(s: Surface) -> ValidationReport:
     must name each vertex exactly twice; on simple edges that alone proves
     one cycle below six edges, so only longer faces are walked by
     :func:`_face_cycle_order`.  The link check walks each vertex's F_v
-    through that incidence.
+    through that incidence with :func:`_walk_link`.  A surface with a
+    field of the wrong type is refused first, by :func:`_fields`.
     """
+    _fields(s)
     out: list[Violation] = []
 
     if not 0 <= s.vertex_count <= 2 * len(s.edges):
@@ -360,7 +464,7 @@ def _check(s: Surface) -> ValidationReport:
             not face
             or once != ends[1::2]
             or len(set(once)) != len(face)
-            or (len(face) >= 6 and _face_cycle_order(s, face) is None)
+            or (len(face) >= 6 and _face_cycle_order(edges, face) is None)
         ):
             out.append(
                 Violation("face-not-cycle", (fi,), f"face {fi} is not a single closed cycle")
@@ -414,33 +518,10 @@ def _check(s: Surface) -> ValidationReport:
         if not eis:
             out.append(Violation("isolated-vertex", (v,), f"vertex {v} has no incident edge"))
             continue
-        # F_v: faces at v, joined when they share an edge at v.  Each face
-        # passes v once, through two of its edges, so ``corner`` holds the
-        # XOR of that pair per face; boundary edges at v leave stubs.  Valid
-        # iff there are 0 or 2 stubs and one walk from edge to edge through
-        # the faces, starting at a stub, reaches every edge at v.
-        corner: dict[int, int] = {}
-        stubs = []
-        for ei in eis:
-            fs = incidence[ei]
-            if len(fs) == 1:
-                stubs.append(ei)
-            for fi in fs:
-                corner[fi] = corner.get(fi, 0) ^ ei
-        reached = 0
-        if len(stubs) in (0, 2):
-            first = ei = stubs[0] if stubs else eis[0]
-            fi = incidence[ei][0]
-            reached = 1
-            while True:
-                ei = corner[fi] ^ ei
-                fs = incidence[ei]
-                if ei == first or len(fs) == 1:
-                    reached += ei != first
-                    break
-                reached += 1
-                fi = fs[0] ^ fs[1] ^ fi
-        if reached != len(eis):
+        # Valid iff there are 0 or 2 stubs and the walk reaches every edge
+        # at v: each face met adds its exit edge, and a path adds its entry.
+        stubs, faces, _ = _walk_link(incidence, eis)
+        if len(stubs) not in (0, 2) or len(faces) + len(stubs) // 2 != len(eis):
             out.append(
                 Violation(
                     "vertex-link-broken",
@@ -560,8 +641,13 @@ def canonicalize(s: Surface) -> tuple[Surface, list[int], list[int]]:
     callers can re-target any indices they hold.  Idempotent, and the basis of
     the bit-stable JSON format.  Faces that are not valid cycles are kept as
     sorted index lists (validation will report them).
+
+    Raises:
+        OutOfDomainError: if ``s`` is not a ``Surface`` or has a field of
+            the wrong type (see ``_fields``).
     """
     _instance(s, Surface)
+    _fields(s)
     keyed = []
     for ei, e in enumerate(s.edges):
         u, v = (e.u, e.v) if e.u <= e.v else (e.v, e.u)
@@ -573,13 +659,12 @@ def canonicalize(s: Surface) -> tuple[Surface, list[int], list[int]]:
         edge_map[old_idx] = new_idx
         new_edges.append(Edge(u, v, is_open))
 
-    tmp = Surface(s.vertex_count, tuple(new_edges), (), s.coords)
     remapped = []
     for face in s.faces:
         idxs = tuple(
             edge_map[ei] if 0 <= ei < len(edge_map) else ei for ei in face
         )
-        cycle = _face_cycle_order(tmp, idxs)
+        cycle = _face_cycle_order(new_edges, idxs)
         remapped.append(cycle if cycle is not None else tuple(sorted(idxs)))
     order = sorted(range(len(remapped)), key=lambda fi: remapped[fi])
     face_map = [0] * len(remapped)
@@ -604,7 +689,6 @@ def to_json_dict(s: Surface) -> dict:
 
 
 _JSON_TYPE_NAMES = {int: "integer", bool: "boolean", list: "array"}
-_INT = {int}
 
 
 def _typed(value, kind: type, where: str):

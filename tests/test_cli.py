@@ -612,8 +612,8 @@ def test_evaluate_runs_the_validation_body_once(monkeypatch):
 
 
 def test_evaluate_classifies_ranks_and_builds_graphs_once(monkeypatch):
-    # The build fills d1, d2 and d2^T in one pass with no classification
-    # and no transpose, h1's check ranks d1 and d2^T once each
+    # The build fills d1, d2^T and each qubit's faces in one pass with no
+    # classification and no transpose, h1's check ranks d1 and d2^T once each
     # (logical_count adds none), and both sides' searches walk the
     # complex's two graphs, the X side taking them swapped.
     spec = ArchSpec("mixed-diamond-hole", h=2, h2=2, t=2)
