@@ -35,7 +35,7 @@ from .errors import (
     _int,
 )
 from .homology import boundary_maps
-from .surface import STRICT_ALL, Edge, Surface, canonicalize, require_valid
+from .surface import STRICT_ALL, Edge, Surface, _canonical, require_valid
 
 __all__ = [
     "FAMILIES",
@@ -271,7 +271,7 @@ def _punch(
         )
         new_faces = tuple(faces.values())
         new_coords = tuple(coords)
-    s, _, _ = canonicalize(Surface(len(new_coords), new_edges, new_faces, new_coords))
+    s, _, _ = _canonical(Surface(len(new_coords), new_edges, new_faces, new_coords))
     require_valid(s, STRICT_ALL)
     return s
 

@@ -14,9 +14,10 @@
   completed cycle that closes the face path through the two boundary-edge
   vertices).
 
-Both strict validation flags are prerequisites: girth >= 3 keeps the dual
-graph simple, and the distance-one guard keeps every dual edge inside at
-least one dual face.  Under those flags the dual is itself strictly valid.
+Strict validation is the prerequisite: the base tier's simple graph
+(girth >= 3) keeps the dual graph simple, and the distance-one flag keeps
+every dual edge inside at least one dual face.  The dual is then itself
+strictly valid.
 
 The dual is read off the relative chain complex of G, with no boundary
 classification.  ``ChainComplex._dual_ends`` numbers the dual's vertices
@@ -29,6 +30,7 @@ classifies both surfaces, to check the result independently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ModelingError, OutOfDomainError, _instance, _int
@@ -39,10 +41,10 @@ from .surface import (
     Surface,
     ValidationReport,
     Violation,
+    _canonical,
     _classify_unchecked,
     _fields,
     _walk_link,
-    canonicalize,
     require_valid,
     validate,
 )
@@ -102,18 +104,30 @@ def local_dual_cycle(s: Surface, v: int) -> list[tuple[str, int]]:
     return [("edge", stubs[0]), *out, ("edge", end)] if stubs else out
 
 
+def _mean(mean: float, xs: tuple[float, ...]) -> float:
+    """``mean``, the mean of the finite drawing coordinates ``xs`` as the
+    caller adds them, if it is finite.  Where their sum overflowed, each
+    value is divided first, and the result is kept between the least and
+    the greatest value, where the mean lies."""
+    if math.isfinite(mean):
+        return mean
+    return min(max(sum(x / len(xs) for x in xs), min(xs)), max(xs))
+
+
 def dualize(s: Surface | ChainComplex) -> tuple[Surface, DualCorrespondence]:
     """Construct the dual surface and the cell-class correspondence maps.
 
-    Requires the surface to validate with both strict flags.  The dual is
-    read off its chain complex, with no boundary classification: one
+    Requires the surface to validate strictly.  The dual is read off its
+    chain complex, with no boundary classification: one
     non-open dual edge per qubit between its two dual ends (see
     ``ChainComplex._dual_ends``, which numbers the dual's vertices), one
     open dual edge per closed boundary vertex joining the end nodes of its
     two closed boundary edges, and one dual face per non-open vertex: the
     support of its row of d1, closed by its open dual edge if it has one.
     The returned dual is canonicalized (so its JSON form is stable) and is
-    itself strictly valid.
+    itself strictly valid.  Its drawing coordinates, if the surface has
+    them, are the face centroids and the closed boundary edges' midpoints,
+    finite like the surface's own.
 
     Raises:
         InvalidSurfaceError: if the surface fails strict validation.
@@ -154,14 +168,14 @@ def dualize(s: Surface | ChainComplex) -> tuple[Surface, DualCorrespondence]:
         for face in primal.faces:
             verts = sorted({w for ei in face for w in primal.edges[ei].endpoints()})
             xs, ys = zip(*(xy[w] for w in verts))
-            points.append((sum(xs) / len(xs), sum(ys) / len(ys)))
+            points.append((_mean(sum(xs) / len(xs), xs), _mean(sum(ys) / len(ys), ys)))
         for ei in end_of_edge:
             (xu, yu), (xv, yv) = (xy[w] for w in primal.edges[ei].endpoints())
-            points.append(((xu + xv) / 2, (yu + yv) / 2))
+            points.append((_mean((xu + xv) / 2, (xu, xv)), _mean((yu + yv) / 2, (yu, yv))))
         coords = tuple(points)
 
     raw = Surface(n_faces + len(end_of_edge), tuple(raw_edges), tuple(raw_faces), coords)
-    dual, edge_map, face_map = canonicalize(raw)
+    dual, edge_map, face_map = _canonical(raw)
 
     report = validate(dual, STRICT_ALL)
     if not report.ok:

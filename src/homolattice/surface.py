@@ -12,10 +12,9 @@ model, so :func:`validate` is strict about the cellulation axioms:
 * every vertex has at least one incident edge, and its face-adjacency graph
   F_v is a single self-avoiding path (boundary vertex) or cycle (interior).
 
-Two opt-in strict flags tighten this: ``no-distance-one`` forbids a non-open
-edge whose endpoints are both open, and ``girth3`` asserts girth >= 3, which
-the base tier already implies.  Both are required by
-:func:`homolattice.dual.dualize` and are on for every built-in generator.
+One opt-in strict flag tightens this: ``no-distance-one`` forbids a
+non-open edge whose endpoints are both open.  It is required by
+:func:`homolattice.dual.dualize` and is on for every built-in generator.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ __all__ = [
     "ValidationReport",
     "BoundaryClassification",
     "NO_DISTANCE_ONE",
-    "GIRTH3",
     "STRICT_ALL",
     "validate",
     "require_valid",
@@ -54,8 +52,7 @@ __all__ = [
 ]
 
 NO_DISTANCE_ONE = "no-distance-one"
-GIRTH3 = "girth3"
-STRICT_ALL = frozenset({NO_DISTANCE_ONE, GIRTH3})
+STRICT_ALL = frozenset({NO_DISTANCE_ONE})
 
 
 @dataclass(frozen=True)
@@ -210,19 +207,31 @@ _INT = {int}
 _NUMBERS = {int, float}
 
 
-def _fields(s: Surface) -> None:
-    """Refuse ``s`` if a field has the wrong type.  ``vertex_count``, each
-    edge's ends and each face entry must be exactly ``int``; each edge an
-    :class:`Edge` whose ``open`` is exactly ``bool``; ``edges``, ``faces``
-    and each face a list or tuple; ``coords`` None or a list or tuple of
-    pairs, each a list or tuple of two ``int`` or ``float`` (a bool is
-    neither).
+def _finite(xs: Iterable) -> bool:
+    """Whether every number in ``xs`` is finite; an ``int`` too large for a
+    float is not."""
+    try:
+        return all(map(math.isfinite, xs))
+    except OverflowError:
+        return False
 
-    :func:`validate` (once per surface), :func:`canonicalize` and
-    ``check_correspondences`` call it where a surface enters.  It first
-    collects the set of types each field takes over all cells, which costs
-    less than testing each cell in the loops those functions run; only a
-    surface that fails is read again cell by cell, to name the bad field.
+
+def _fields(s: Surface) -> None:
+    """Refuse ``s`` if a field has the wrong type: the one set of field
+    rules, for a surface built in memory and one read from JSON alike.
+    ``vertex_count``, each edge's ends and each face entry must be exactly
+    ``int``; each edge an :class:`Edge` whose ``open`` is exactly ``bool``;
+    ``edges``, ``faces`` and each face a list or tuple; ``coords`` None or a
+    list or tuple of pairs, each a list or tuple of two finite ``int`` or
+    ``float`` (a bool is neither, and an ``int`` too large for a float is
+    not finite).
+
+    :func:`validate` (once per surface), :func:`canonicalize`,
+    :func:`from_json_dict` and ``check_correspondences`` call it where a
+    surface enters.  It first collects the set of types each field takes
+    over all cells, which costs less than testing each cell in the loops
+    those functions run; only a surface that fails is read again cell by
+    cell, to name the bad field.
 
     Raises:
         OutOfDomainError: naming the first field of the wrong type.
@@ -242,6 +251,7 @@ def _fields(s: Surface) -> None:
             and {*map(type, coords)} <= {*_CELLS}
             and {*map(len, coords)} <= {2}
             and {*map(type, chain.from_iterable(coords))} <= _NUMBERS
+            and _finite(chain.from_iterable(coords))
         )
     ):
         return
@@ -262,8 +272,8 @@ def _fields(s: Surface) -> None:
         for ei in face:
             _int(ei, f"faces[{i}]")
     for i, c in enumerate(coords):
-        if type(c) not in _CELLS or len(c) != 2 or not {*map(type, c)} <= _NUMBERS:
-            raise OutOfDomainError(f"coords[{i}] must be a pair of numbers, got {c!r}")
+        if not (type(c) in _CELLS and len(c) == 2 and {*map(type, c)} <= _NUMBERS and _finite(c)):
+            raise OutOfDomainError(f"coords[{i}] must be a pair of finite numbers, got {c!r}")
 
 
 def _walk_link(
@@ -354,9 +364,8 @@ def validate(s: Surface, strict: frozenset[str] | set[str] = frozenset()) -> Val
     """Check all cellulation axioms; returns a report (empty means valid).
 
     ``strict`` may contain ``"no-distance-one"`` (a non-open edge must not have
-    two open endpoints) and/or ``"girth3"`` (girth >= 3, i.e. no loops or
-    parallel edges).  The base tier already reports every loop and duplicate
-    edge, and stops there, so ``girth3`` never adds a violation of its own.
+    two open endpoints).  Girth >= 3 needs no flag: the base tier reports
+    every loop and duplicate edge.
 
     The checks run once per ``Surface`` object, with every strict flag; later
     calls read that cached report and drop the ``distance-one-edge``
@@ -646,8 +655,14 @@ def canonicalize(s: Surface) -> tuple[Surface, list[int], list[int]]:
         OutOfDomainError: if ``s`` is not a ``Surface`` or has a field of
             the wrong type (see ``_fields``).
     """
-    _instance(s, Surface)
-    _fields(s)
+    _fields(_instance(s, Surface))
+    return _canonical(s)
+
+
+def _canonical(s: Surface) -> tuple[Surface, list[int], list[int]]:
+    """:func:`canonicalize` on a surface whose fields are known to be well
+    typed: the generators and ``dualize`` build theirs from exact ints and
+    finite coordinates, and check the result once, by validating it."""
     keyed = []
     for ei, e in enumerate(s.edges):
         u, v = (e.u, e.v) if e.u <= e.v else (e.v, e.u)
@@ -688,75 +703,31 @@ def to_json_dict(s: Surface) -> dict:
     return out
 
 
-_JSON_TYPE_NAMES = {int: "integer", bool: "boolean", list: "array"}
-
-
-def _typed(value, kind: type, where: str):
-    """``value`` if its type is exactly ``kind``: a bool is not an integer
-    here, and 4.7 is not silently truncated to 4."""
-    if type(value) is not kind:
-        raise TypeError(f"{where} must be a JSON {_JSON_TYPE_NAMES[kind]}, got {value!r}")
-    return value
-
-
-def _point(c, i: int) -> tuple[float, float]:
-    if type(c) is list and len(c) == 2:
-        x, y = c
-        try:
-            if (
-                type(x) in (int, float)
-                and type(y) in (int, float)
-                and math.isfinite(x)
-                and math.isfinite(y)
-            ):
-                return (x, y)
-        except OverflowError:  # an integer too large for a float
-            pass
-    raise ValueError(f"coords[{i}] must be a pair of finite numbers, got {c!r}")
-
-
 def from_json_dict(d: dict) -> Surface:
-    """Read a surface from its JSON object, type-exactly.
+    """Read a surface from its JSON object.
 
-    ``vertex_count``, edge endpoints and face entries must be JSON integers
-    (not booleans or floats), ``open`` a JSON boolean, the cell lists JSON
-    arrays, and each ``coords`` entry a pair of finite numbers.  Each cell
-    is type-checked inline; only a cell that fails is read again field by
-    field, which names the first bad field in the error.
+    The reader handles only the JSON shape: each edge object becomes an
+    :class:`Edge` of its ``u``, ``v`` and ``open``, and the cell lists
+    become tuples.  The cells as read are checked by ``_fields``, the field
+    rules every surface meets: ``vertex_count``, edge endpoints and face
+    entries must be JSON integers (not booleans or floats), ``open`` a JSON
+    boolean, the cell lists arrays, and each ``coords`` entry a pair of
+    finite numbers.  An absent or null ``coords`` is None.
 
     Raises:
-        InvalidSurfaceError: on a missing key or a value of the wrong type.
+        InvalidSurfaceError: on a missing key or a value of the wrong type,
+            naming the field.
     """
     try:
-        vertex_count = _typed(d["vertex_count"], int, "vertex_count")
-        edges = []
-        for i, e in enumerate(_typed(d["edges"], list, "edges")):
-            if type(e) is dict:
-                u, v, is_open = e.get("u"), e.get("v"), e.get("open")
-                if type(u) is int and type(v) is int and type(is_open) is bool:
-                    edges.append(Edge(u, v, is_open))
-                    continue
-            edges.append(
-                Edge(
-                    _typed(e["u"], int, f"edges[{i}].u"),
-                    _typed(e["v"], int, f"edges[{i}].v"),
-                    _typed(e["open"], bool, f"edges[{i}].open"),
-                )
-            )
-        faces = []
-        for i, f in enumerate(_typed(d["faces"], list, "faces")):
-            if type(f) is list and {*map(type, f)} <= _INT:
-                faces.append(tuple(f))
-            else:
-                faces.append(
-                    tuple(_typed(x, int, f"faces[{i}]") for x in _typed(f, list, f"faces[{i}]"))
-                )
-        coords = None
-        if d.get("coords") is not None:
-            coords = tuple(_point(c, i) for i, c in enumerate(_typed(d["coords"], list, "coords")))
-    except (KeyError, TypeError, ValueError) as exc:
+        vertex_count, edges = d["vertex_count"], d["edges"]
+        if type(edges) is list:  # any other value reaches _fields unread, which names it
+            edges = [Edge(e["u"], e["v"], e["open"]) for e in edges]
+        faces, coords = d["faces"], d.get("coords")
+        _fields(Surface(vertex_count, edges, faces, coords))
+    except (KeyError, TypeError, OutOfDomainError) as exc:
         raise InvalidSurfaceError(f"malformed surface JSON: {exc}") from exc
-    return Surface(vertex_count, tuple(edges), tuple(faces), coords)
+    coords = None if coords is None else tuple(map(tuple, coords))
+    return Surface(vertex_count, tuple(edges), tuple(map(tuple, faces)), coords)
 
 
 def to_json(s: Surface) -> str:

@@ -5,7 +5,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import random
+import sys
+from itertools import chain
 
 import pytest
 
@@ -23,6 +26,7 @@ from homolattice import (
     STRICT_ALL,
     ArchSpec,
     DualCorrespondence,
+    Edge,
     HomolatticeError,
     InvalidSurfaceError,
     ModelingError,
@@ -32,6 +36,7 @@ from homolattice import (
     check_correspondences,
     classify_boundary,
     dualize,
+    from_json,
     generate,
     h1_dim,
     local_dual_cycle,
@@ -189,6 +194,60 @@ def test_dual_coords_are_centroids_and_midpoints():
             (s.coords[e.u][1] + s.coords[e.v][1]) / 2,
         )
         assert d.coords[dv] == mid
+
+
+def _finite_dual_reads_back(s: Surface) -> tuple[Surface, DualCorrespondence]:
+    d, corr = dualize(s)
+    assert all(map(math.isfinite, chain.from_iterable(d.coords)))
+    assert from_json(to_json(d)) == d
+    return d, corr
+
+
+def test_dual_coords_stay_finite_near_the_float_limit():
+    # Scaled so that the coordinates reach 8e307, a face's coordinate sum
+    # overflows: there each value is divided first, and the mean lies
+    # between the least and greatest value.  Every mean whose plain sum is
+    # finite is kept bit for bit.
+    s = dict(CORPUS)["sq111"]
+    top = max(map(abs, chain.from_iterable(s.coords)))
+    big = dataclasses.replace(
+        s, coords=tuple((x / top * 8e307, y / top * 8e307) for x, y in s.coords)
+    )
+    d, corr = _finite_dual_reads_back(big)
+    overflowed = 0
+    for fi, face in enumerate(big.faces):
+        verts = sorted({w for ei in face for w in big.edges[ei].endpoints()})
+        for axis in (0, 1):
+            values = [big.coords[w][axis] for w in verts]
+            plain = sum(values) / len(values)
+            got = d.coords[corr.face_to_dual_vertex[fi]][axis]
+            if math.isfinite(plain):
+                assert got.hex() == plain.hex()
+            else:
+                overflowed += 1
+                assert min(values) <= got <= max(values)
+    assert overflowed
+
+
+def test_dual_coords_at_the_largest_float_stay_finite():
+    top = sys.float_info.max
+    triangle = Surface(
+        3, (Edge(0, 1), Edge(1, 2), Edge(0, 2)), ((0, 1, 2),), ((top, 0.0), (top, 1.0), (top, 2.0))
+    )
+    d, _ = _finite_dual_reads_back(triangle)
+    # Dual vertex 0 is the face; top / 3 rounds up, so three of it overflow.
+    assert d.coords[0] == (top, 1.0)
+    assert {x for x, _ in d.coords} == {top}
+
+
+def test_dual_midpoint_keeps_the_sign_of_zero():
+    s = square()
+    assert s.coords[0][0] == s.coords[2][0] == 0.0
+    coords = [(-0.0, y) if x == 0.0 else (x, y) for x, y in s.coords]
+    d, corr = dualize(dataclasses.replace(s, coords=tuple(coords)))
+    ei = next(ei for ei, e in enumerate(s.edges) if {e.u, e.v} == {0, 2})
+    x = d.coords[corr.closed_boundary_edge_to_dual_open_vertex[ei]][0]
+    assert math.copysign(1.0, x) == -1.0
 
 
 def test_dualize_deterministic():

@@ -38,6 +38,9 @@ PROBES = {
     "coords-none-pairs": ({"coords": (None, None, None)}, "coords[0]"),
     "coords-str": ({"coords": "abc"}, "coords"),
     "coord-bool": ({"coords": ((0.0, 0.0), (True, 0.0), (0.0, 1.0))}, "coords[1]"),
+    "coord-nan": ({"coords": ((float("nan"), 0.0),) + TRIANGLE.coords[1:]}, "coords[0]"),
+    "coord-neg-inf": ({"coords": ((float("-inf"), 0.0),) + TRIANGLE.coords[1:]}, "coords[0]"),
+    "coord-int-beyond-float": ({"coords": ((10**400, 0.0),) + TRIANGLE.coords[1:]}, "coords[0]"),
 }
 
 
@@ -68,6 +71,14 @@ def test_a_mistyped_field_is_a_domain_error_that_names_it(probe, entry, tmp_path
     bad = dataclasses.replace(TRIANGLE, **change)
     with pytest.raises(OutOfDomainError, match=rf"^{re.escape(field)} must"):
         _entries(tmp_path)[entry](bad)
+
+
+@pytest.mark.parametrize("probe", ["coord-int-beyond-float", "coord-nan", "coord-neg-inf"])
+def test_dualize_refuses_a_coordinate_that_is_not_finite(probe):
+    # A centroid of such a coordinate raised OverflowError or came out NaN.
+    change, field = PROBES[probe]
+    with pytest.raises(OutOfDomainError, match=rf"^{re.escape(field)} must"):
+        hl.dualize(dataclasses.replace(TRIANGLE, **change))
 
 
 def test_cell_lists_may_be_lists():

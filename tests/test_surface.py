@@ -26,7 +26,6 @@ from conftest import (
     tetrahedron,
 )
 from homolattice import (
-    GIRTH3,
     NO_DISTANCE_ONE,
     STRICT_ALL,
     Edge,
@@ -253,14 +252,14 @@ def test_violation_distance_one_edge():
 
 
 def test_strict_girth_subsumed_by_simplicity():
-    # Loops and parallel edges already fail the base edge tier, which returns
-    # before the strict girth re-check; valid simple surfaces pass girth3.
+    # Girth >= 3 needs no strict flag: loops and parallel edges fail the
+    # base edge tier.
     s = square()
     loop = Surface(s.vertex_count, s.edges + (Edge(2, 2),), s.faces)
-    assert codes(validate(loop, {GIRTH3})) == {"loop-edge"}
+    assert codes(validate(loop)) == {"loop-edge"}
     parallel = Surface(s.vertex_count, s.edges + (Edge(1, 0),), s.faces)
-    assert codes(validate(parallel, {GIRTH3})) == {"duplicate-edge"}
-    assert validate(s, {GIRTH3}).ok
+    assert codes(validate(parallel)) == {"duplicate-edge"}
+    assert validate(s).ok
     # Girth exactly 3 is allowed.
     assert validate(tetrahedron(), STRICT_ALL).ok
 
@@ -268,7 +267,9 @@ def test_strict_girth_subsumed_by_simplicity():
 def test_unknown_strict_flag_rejected():
     with pytest.raises(ValueError):
         validate(square(), {"bogus-flag"})
-    assert STRICT_ALL == frozenset({NO_DISTANCE_ONE, GIRTH3})
+    assert STRICT_ALL == frozenset({NO_DISTANCE_ONE})
+    with pytest.raises(OutOfDomainError):
+        validate(square(), {"girth3"})
 
 
 def test_unknown_strict_flag_is_a_library_error():
@@ -331,7 +332,7 @@ def _malformed() -> list[Surface]:
     ]
 
 
-_FLAG_SETS = (frozenset(), frozenset({NO_DISTANCE_ONE}), frozenset({GIRTH3}), STRICT_ALL)
+_FLAG_SETS = (frozenset(), frozenset({NO_DISTANCE_ONE}), STRICT_ALL)
 
 
 def _report_surfaces() -> list[Surface]:
@@ -345,12 +346,13 @@ def _report_surfaces() -> list[Surface]:
 
 def test_validation_reports_are_pinned():
     # sha256 of every report under every flag set, recorded when each call
-    # ran the whole validation afresh.
+    # ran the whole validation afresh, and again over these three flag sets
+    # while the girth3 flag, which never added a violation, still existed.
     h = hashlib.sha256()
     for s in _report_surfaces():
         for flags in _FLAG_SETS:
             h.update(str(validate(s, flags)).encode() + b"\n--\n")
-    assert h.hexdigest() == "7abcb8c6c76820e93ae34cd688df3eac591400533bfb70cc748e39688913d833"
+    assert h.hexdigest() == "1c6934b82af35eca1b8bc33fd6a9edc6e867b6423ff287adf0636836935b80d7"
 
 
 def test_validation_reports_do_not_depend_on_call_order():
@@ -540,26 +542,26 @@ def _edge_dicts(*edges) -> list[dict]:
 @pytest.mark.parametrize(
     ("patch", "message"),
     [
-        ({"vertex_count": 3.0}, "vertex_count must be a JSON integer, got 3.0"),
-        ({"edges": {"u": 0}}, "edges must be a JSON array, got {'u': 0}"),
+        ({"vertex_count": 3.0}, "vertex_count must be an integer, got 3.0"),
+        ({"edges": {"u": 0}}, "edges must be a list or tuple, got {'u': 0}"),
         (
             {"edges": _edge_dicts((0, 1, False), (1.0, 2, False))},
-            "edges[1].u must be a JSON integer, got 1.0",
+            "edges[1].u must be an integer, got 1.0",
         ),
         (
             {"edges": _edge_dicts((0, 1, False), (True, 2, False))},
-            "edges[1].u must be a JSON integer, got True",
+            "edges[1].u must be an integer, got True",
         ),
-        ({"edges": _edge_dicts((0, "1", False))}, "edges[0].v must be a JSON integer, got '1'"),
-        ({"edges": _edge_dicts((0, 1, 0))}, "edges[0].open must be a JSON boolean, got 0"),
+        ({"edges": _edge_dicts((0, "1", False))}, "edges[0].v must be an integer, got '1'"),
+        ({"edges": _edge_dicts((0, 1, 0))}, "edges[0].open must be a bool, got 0"),
         ({"edges": [{"v": 2, "open": False}]}, "'u'"),
         ({"edges": [[0, 1, False]]}, "list indices must be integers or slices, not str"),
         ({"edges": [3]}, "'int' object is not subscriptable"),
-        ({"faces": "x"}, "faces must be a JSON array, got 'x'"),
-        ({"faces": [[0, 1], [1, "2"]]}, "faces[1] must be a JSON integer, got '2'"),
-        ({"faces": [[0, 1], [1, 2.5]]}, "faces[1] must be a JSON integer, got 2.5"),
-        ({"faces": [[0, 1], {"a": 1}]}, "faces[1] must be a JSON array, got {'a': 1}"),
-        ({"faces": [[0, 1], 7]}, "faces[1] must be a JSON array, got 7"),
+        ({"faces": "x"}, "faces must be a list or tuple, got 'x'"),
+        ({"faces": [[0, 1], [1, "2"]]}, "faces[1] must be an integer, got '2'"),
+        ({"faces": [[0, 1], [1, 2.5]]}, "faces[1] must be an integer, got 2.5"),
+        ({"faces": [[0, 1], {"a": 1}]}, "faces[1] must be a list or tuple, got {'a': 1}"),
+        ({"faces": [[0, 1], 7]}, "faces[1] must be a list or tuple, got 7"),
         ({"coords": [[0, 0], [1]]}, "coords[1] must be a pair of finite numbers, got [1]"),
         (
             {"coords": [[0, 0], [0, True]]},
