@@ -59,7 +59,7 @@ from .f2 import (
     rank,  # not used here, but bench/test_bench.py patches homolattice.code.rank
     symplectic_pairing,
 )
-from .homology import ChainComplex, _complex, _graph, h1_dim
+from .homology import ChainComplex, _complex, _graph, _incidence_rows, h1_dim
 from .surface import STRICT_ALL, Surface, _roots, require_valid
 
 __all__ = [
@@ -571,37 +571,26 @@ def _dual_maps(cx: ChainComplex) -> tuple[list[int], BinaryMatrix, BinaryMatrix]
     toward the lower neighbour, which is the lowest qubit at the vertex that
     shares a face with m (its open dual edge, if any, numbers above every
     qubit).  So its d2^T is d1 with the columns permuted and the rows sorted
-    by those two qubits.
+    by those two qubits.  Both maps are built as the complex builds its own,
+    from the qubits' faces and ends, taken in dual qubit order.
     """
-    faces = cx.face_count
     ends = list(cx._dual_ends())
-    vertex_ends = list(cx._vertex_ends())
     order = sorted(range(len(ends)), key=ends.__getitem__)
-    d1_rows = [0] * faces
-    d2t_rows = [0] * (len(cx.interior_vertices) + 1)  # the last row is the terminal's
-    for j, q in enumerate(order):
-        bit = 1 << j
-        a, b = ends[q]
-        d1_rows[a] |= bit
-        if b < faces:
-            d1_rows[b] |= bit
-        u, v = vertex_ends[q]
-        d2t_rows[u] |= bit
-        d2t_rows[v] |= bit
-    d2t_rows.pop()
+    faces = [cx._qubit_faces[q] for q in order]
+    d1_rows = _incidence_rows(cx.face_count, faces)
+    d2t_rows = list(_incidence_rows(len(cx.interior_vertices), [cx._ends[q] for q in order]))
 
     def traversal(bits: int) -> tuple[int, int]:
         low = bits & -bits
-        a, b = ends[order[low.bit_length() - 1]]
-        shared = d1_rows[a] | (d1_rows[b] if b < faces else 0)
-        nxt = shared & bits ^ low
+        f = faces[low.bit_length() - 1]
+        nxt = (d1_rows[f[0]] | d1_rows[f[-1]]) & bits ^ low
         return low.bit_length(), (nxt & -nxt).bit_length()
 
     d2t_rows.sort(key=traversal)
     n = len(order)
     return (
         order,
-        BinaryMatrix(faces, n, tuple(d1_rows)),
+        BinaryMatrix(cx.face_count, n, d1_rows),
         BinaryMatrix(len(d2t_rows), n, tuple(d2t_rows)),
     )
 

@@ -22,8 +22,9 @@ strictly valid.
 The dual is read off the relative chain complex of G, with no boundary
 classification.  ``ChainComplex._dual_ends`` numbers the dual's vertices
 (the faces, then one end node per closed boundary edge in qubit order),
-the non-open dual edges are the qubits, and each dual face is the support
-of a row of d1.  So the dual's (d1, d2^T) is G's (d2^T, d1) up to cell
+the non-open dual edges are the qubits, and each dual face holds the
+qubits with an end at a non-open vertex, read off the complex's record of
+each qubit's ends.  So the dual's (d1, d2^T) is G's (d2^T, d1) up to cell
 order: the X side of the code.  Only :func:`check_correspondences`
 classifies both surfaces, to check the result independently.
 """
@@ -123,7 +124,8 @@ def dualize(s: Surface | ChainComplex) -> tuple[Surface, DualCorrespondence]:
     ``ChainComplex._dual_ends``, which numbers the dual's vertices), one
     open dual edge per closed boundary vertex joining the end nodes of its
     two closed boundary edges, and one dual face per non-open vertex: the
-    support of its row of d1, closed by its open dual edge if it has one.
+    qubits with an end at it, closed by its open dual edge if it has one.
+    No matrix is built.
     The returned dual is canonicalized (so its JSON form is stable) and is
     itself strictly valid.  Its drawing coordinates, if the surface has
     them, are the face centroids and the closed boundary edges' midpoints,
@@ -141,25 +143,27 @@ def dualize(s: Surface | ChainComplex) -> tuple[Surface, DualCorrespondence]:
     n_faces = cx.face_count
 
     # Raw dual edge i is the dual edge of qubit i; the open ones follow.
+    # Raw dual face r is the dual face of the non-open vertex of row r: the
+    # qubits with an end at row r, then its open dual edge if it has one.
+    terminal = len(cx.interior_vertices)
     raw_edges: list[Edge] = []
+    raw_faces: list[list[int]] = [[] for _ in range(terminal + 1)]
     end_of_edge: dict[int, int] = {}  # closed boundary edge -> dual open vertex
-    ends_at: dict[int, list[int]] = {}  # closed boundary vertex -> its two ends
-    for ei, (a, b) in zip(cx.interior_edges, cx._dual_ends()):
+    ends_at: dict[int, list[int]] = {}  # row of a closed boundary vertex -> its two ends
+    for p, (ei, (a, b), ends) in enumerate(zip(cx.interior_edges, cx._dual_ends(), cx._ends)):
         raw_edges.append(Edge(a, b, False))
+        for r in ends:
+            raw_faces[r].append(p)
         if b >= n_faces:
             end_of_edge[ei] = b
-            for w in primal.edges[ei].endpoints():
-                if w in cx.vertex_row:
-                    ends_at.setdefault(w, []).append(b)
-    open_edge_of_vertex: dict[int, int] = {}
-    for v in sorted(ends_at):
-        open_edge_of_vertex[v] = len(raw_edges)
-        raw_edges.append(Edge(*ends_at[v], True))
-    # Raw dual face r is the dual face of the non-open vertex of row r.
-    raw_faces = [
-        cx.d1.row(r).support + ((open_edge_of_vertex[v],) if v in open_edge_of_vertex else ())
-        for r, v in enumerate(cx.interior_vertices)
-    ]
+            for r in ends:
+                ends_at.setdefault(r, []).append(b)
+    open_edge_of_row: dict[int, int] = {}
+    for r in sorted(ends_at.keys() - {terminal}):  # the terminal has no dual face
+        open_edge_of_row[r] = len(raw_edges)
+        raw_faces[r].append(len(raw_edges))
+        raw_edges.append(Edge(*ends_at[r], True))
+    del raw_faces[terminal]
 
     coords = None
     if primal.coords is not None:
@@ -174,7 +178,9 @@ def dualize(s: Surface | ChainComplex) -> tuple[Surface, DualCorrespondence]:
             points.append((_mean((xu + xv) / 2, (xu, xv)), _mean((yu + yv) / 2, (yu, yv))))
         coords = tuple(points)
 
-    raw = Surface(n_faces + len(end_of_edge), tuple(raw_edges), tuple(raw_faces), coords)
+    raw = Surface(
+        n_faces + len(end_of_edge), tuple(raw_edges), tuple(map(tuple, raw_faces)), coords
+    )
     dual, edge_map, face_map = _canonical(raw)
 
     report = validate(dual, STRICT_ALL)
@@ -188,15 +194,15 @@ def dualize(s: Surface | ChainComplex) -> tuple[Surface, DualCorrespondence]:
             ei: edge_map[pos] for pos, ei in enumerate(cx.interior_edges)
         },
         closed_boundary_vertex_to_dual_open_edge={
-            v: edge_map[raw_idx] for v, raw_idx in open_edge_of_vertex.items()
+            cx.interior_vertices[r]: edge_map[i] for r, i in open_edge_of_row.items()
         },
         interior_vertex_to_dual_face={
             v: face_map[r]
             for r, v in enumerate(cx.interior_vertices)
-            if v not in open_edge_of_vertex
+            if r not in open_edge_of_row
         },
         closed_boundary_vertex_to_dual_open_face={
-            v: face_map[cx.vertex_row[v]] for v in open_edge_of_vertex
+            cx.interior_vertices[r]: face_map[r] for r in open_edge_of_row
         },
     )
     return dual, corr

@@ -4,14 +4,17 @@ Every anticipated failure raises a subclass of :class:`HomolatticeError`, so
 callers (and the CLI, which maps them to exit status 1) can catch one type.
 Anything else escaping the library is a bug.  ``_int`` is the one check
 that a parameter is exactly an ``int``; ``ArchSpec`` and the generators, the
-closed forms, the brute-force weight cap, ``local_dual_cycle`` and the check
-of a surface's fields share it.
-``_bool`` is its twin for flags, which the closed forms' ``orientable``
-takes.  ``_instance`` checks the type of any other argument, once, where
-it enters the library.
+closed forms, the brute-force weight cap, ``local_dual_cycle``, the check
+of a surface's fields and the indices of the F2 and chain methods share it.
+``_ints`` applies it to each value of an iterable, for a vector's support
+and a set of edge indices.  ``_bool`` is its twin for flags, which the
+closed forms' ``orientable`` takes.  ``_instance`` checks the type of any
+other argument, once, where it enters the library.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable
 
 __all__ = [
     "HomolatticeError",
@@ -85,6 +88,22 @@ def _int(value, name: str) -> int:
     if type(value) is not int:
         raise OutOfDomainError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def _ints(values, name: str) -> tuple[int, ...]:
+    """``values`` as a tuple if it is an iterable of exact ``int``s.  One
+    pass collects their types; only a failure is read again, to name the
+    first value that is not an ``int``.
+
+    Raises:
+        OutOfDomainError: if ``values`` is not iterable, or naming ``name``
+            and the first value that is not exactly an ``int``.
+    """
+    values = tuple(_instance(values, Iterable))
+    if not {*map(type, values)} <= {int}:
+        for value in values:
+            _int(value, name)
+    return values
 
 
 def _bool(value, name: str) -> bool:

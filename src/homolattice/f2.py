@@ -15,9 +15,10 @@ derived basis is deterministic whatever the order of the input rows.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .errors import DegeneratePairingError, DimensionError, _instance, _int
+from .errors import DegeneratePairingError, DimensionError, _instance, _int, _ints
 
 __all__ = [
     "BitVector",
@@ -46,7 +47,10 @@ class BitVector:
 
     @classmethod
     def from_support(cls, length: int, support) -> BitVector:
-        """Build a vector of ``length`` coordinates with ones at ``support``."""
+        """Build a vector of ``length`` coordinates with ones at ``support``,
+        an iterable of ints (a bool is not one)."""
+        _int(length, "length")
+        support = _ints(support, "coordinate")
         bits = 0
         for i in support:
             if not 0 <= i < length:
@@ -69,20 +73,20 @@ class BitVector:
         return self.bits.bit_count()
 
     def get(self, i: int) -> int:
-        if not 0 <= i < self.length:
+        if not 0 <= _int(i, "coordinate") < self.length:
             raise DimensionError(f"coordinate {i} out of range for length {self.length}")
         return (self.bits >> i) & 1
 
     def dot(self, other: BitVector) -> int:
         """F2 inner product."""
-        if self.length != other.length:
+        if self.length != _instance(other, BitVector).length:
             raise DimensionError(
                 f"dot of lengths {self.length} and {other.length}"
             )
         return (self.bits & other.bits).bit_count() & 1
 
     def __xor__(self, other: BitVector) -> BitVector:
-        if self.length != other.length:
+        if self.length != _instance(other, BitVector).length:
             raise DimensionError(
                 f"xor of lengths {self.length} and {other.length}"
             )
@@ -116,7 +120,7 @@ class BinaryMatrix:
         """Build from an iterable of rows: ints (packed bits) or BitVectors
         of length ``cols``."""
         data = []
-        for row in rows_iter:
+        for row in _instance(rows_iter, Iterable):
             if isinstance(row, BitVector):
                 if row.length != cols:
                     raise DimensionError(
@@ -129,18 +133,20 @@ class BinaryMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> BinaryMatrix:
-        return cls(rows, cols, (0,) * rows)
+        return cls(rows, cols, (0,) * _int(rows, "rows"))
 
     def get(self, i: int, j: int) -> int:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
+        if not (0 <= _int(i, "row") < self.rows and 0 <= _int(j, "column") < self.cols):
             raise DimensionError(f"entry ({i}, {j}) out of shape ({self.rows}, {self.cols})")
         return (self.row_bits[i] >> j) & 1
 
     def row(self, i: int) -> BitVector:
+        if not 0 <= _int(i, "row") < self.rows:
+            raise DimensionError(f"row {i} out of shape ({self.rows}, {self.cols})")
         return BitVector(self.cols, self.row_bits[i])
 
     def column(self, j: int) -> BitVector:
-        if not 0 <= j < self.cols:
+        if not 0 <= _int(j, "column") < self.cols:
             raise DimensionError(f"column {j} out of shape ({self.rows}, {self.cols})")
         bits = 0
         for i, r in enumerate(self.row_bits):
@@ -158,7 +164,7 @@ class BinaryMatrix:
 
     def matvec(self, v: BitVector) -> BitVector:
         """Matrix-vector product over F2 (``v`` indexed by columns)."""
-        if v.length != self.cols:
+        if _instance(v, BitVector).length != self.cols:
             raise DimensionError(
                 f"matvec: vector length {v.length} != cols {self.cols}"
             )
@@ -168,7 +174,7 @@ class BinaryMatrix:
         return BitVector(self.rows, bits)
 
     def matmul(self, other: BinaryMatrix) -> BinaryMatrix:
-        if self.cols != other.rows:
+        if self.cols != _instance(other, BinaryMatrix).rows:
             raise DimensionError(
                 f"matmul: shapes ({self.rows},{self.cols}) x ({other.rows},{other.cols})"
             )

@@ -23,24 +23,27 @@ are the qubits with one face.
 
 The :class:`ChainComplex` that :func:`boundary_maps` returns is the analysis
 of its surface: every homology and code function accepts it in place of the
-surface.  One pass over the cells fills d1, d2^T and each qubit's faces
-together, with no boundary classification and no transpose.  Everything
-else derived from the surface is computed on demand, once per complex:
-dim H1, the graphs of d1 and d2^T that the distance search walks, and d2
-itself, which only :func:`h1_dim_oracle` reads.  The complex also holds the
-dual: its X side (d2^T, d1) is the dual's (d1, d2^T) up to cell order, and
-``_dual_ends`` numbers the dual's vertices, so the dual surface itself is
-read off the complex by :func:`homolattice.dual.dualize`.
+surface.  Its record is the incidence data: one pass over the cells,
+with no boundary classification and no transpose, notes each qubit's two
+end rows and its one or two faces.  Everything else is read off that
+record on demand, once per complex: d1 and d2^T, which one incidence-row
+builder writes as matrices, dim H1, the graphs of d1 and d2^T that the
+distance search walks, and d2 itself, which only :func:`h1_dim_oracle`
+reads.  The record also holds the dual: its X side (d2^T, d1) is the
+dual's (d1, d2^T) up to cell order, and ``_dual_ends`` numbers the dual's
+vertices, so the dual surface itself is read off the complex by
+:func:`homolattice.dual.dualize`, and the dual's maps by the same row
+builder.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count
 
-from .errors import ModelingError, OutOfDomainError, _instance
+from .errors import DimensionError, ModelingError, OutOfDomainError, _instance, _ints
 from .f2 import BinaryMatrix, BitVector, in_span, rank
 from .surface import Surface, _kappa, require_valid
 
@@ -67,28 +70,58 @@ def _graph(nodes: int, ends: Iterable[tuple[int, int]]) -> list[list[tuple[int, 
     return adj
 
 
+def _incidence_rows(rows: int, columns: Sequence[Iterable[int]]) -> tuple[int, ...]:
+    """The ``rows`` rows of the F2 incidence matrix whose column j has a one
+    at each row that ``columns[j]`` lists.  A row numbered ``rows``, the
+    terminal, is allowed and dropped.  The columns are taken from the last,
+    so each row is made as wide as it will be by its first bit, and the
+    later bits reuse blocks of that one width."""
+    out = [0] * (rows + 1)
+    for j in reversed(range(len(columns))):
+        bit = 1 << j
+        for r in columns[j]:
+            out[r] |= bit
+    del out[rows]
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class ChainComplex:
-    """Boundary maps plus the cell orderings that index their rows/columns.
+    """The relative complex as its incidence record, plus the cell orderings
+    that index the rows and columns of its boundary maps.
 
     ``interior_vertices`` / ``interior_edges`` are the ascending non-open cell
     indices; position in these tuples is the row/column in ``d1`` and the row
     in ``d2``.  ``d2`` columns are indexed by face number directly.
-    ``surface`` is the validated source; ``_d2t`` is d2^T and
-    ``_qubit_faces`` holds each qubit's one or two faces, ascending, both
-    filled in by the same pass over the cells as d1.  ``d2``, ``h1`` and the
-    graphs of d1 and d2^T are computed on demand and cached.
+    ``surface`` is the validated source.  The record is two tuples in qubit
+    order: ``_ends`` holds each qubit's two end rows of d1, an open end
+    being ``len(interior_vertices)``, the terminal that stands for every
+    open vertex; ``_qubit_faces`` holds each qubit's one or two faces,
+    ascending.  ``d1``, ``d2^T``, ``d2``, ``h1`` and the graphs of d1 and
+    d2^T are read off the record on demand and cached.
     """
 
-    d1: BinaryMatrix
     interior_vertices: tuple[int, ...]
     interior_edges: tuple[int, ...]
     face_count: int
     surface: Surface = field(repr=False, compare=False)
-    # d2^T: the Z stabilizers as rows, and the dual's d1 up to cell order
-    # (its rows are the faces, which are the dual's vertices).
-    _d2t: BinaryMatrix = field(repr=False)
-    _qubit_faces: tuple[list[int], ...] = field(repr=False, compare=False)
+    _ends: tuple[tuple[int, int], ...] = field(repr=False)
+    _qubit_faces: tuple[tuple[int, ...], ...] = field(repr=False)
+
+    @cached_property
+    def d1(self) -> BinaryMatrix:
+        """d1, one row per non-open vertex with a bit per qubit at each of
+        its ends, built from ``_ends`` on first use."""
+        rows, n = len(self.interior_vertices), len(self._ends)
+        return BinaryMatrix(rows, n, _incidence_rows(rows, self._ends))
+
+    @cached_property
+    def _d2t(self) -> BinaryMatrix:
+        """d2^T: the Z stabilizers as rows, and the dual's d1 up to cell
+        order (its rows are the faces, which are the dual's vertices); built
+        from ``_qubit_faces`` on first use."""
+        rows, n = self.face_count, len(self._qubit_faces)
+        return BinaryMatrix(rows, n, _incidence_rows(rows, self._qubit_faces))
 
     @cached_property
     def d2(self) -> BinaryMatrix:
@@ -108,30 +141,37 @@ class ChainComplex:
         return {e: i for i, e in enumerate(self.interior_edges)}
 
     def edge_chain(self, edge_indices) -> BitVector:
-        """Indicator vector of a set of surface edge indices (all non-open)."""
-        return BitVector.from_support(
-            len(self.interior_edges), [self.edge_index[e] for e in edge_indices]
-        )
+        """Indicator vector of a set of surface edge indices (all non-open).
+
+        Raises:
+            OutOfDomainError: if ``edge_indices`` is not an iterable of ints.
+            DimensionError: if one of them is not a non-open edge.
+        """
+        edges = _ints(edge_indices, "edge index")
+        index = self.edge_index
+        missing = set(edges).difference(index)
+        if missing:
+            raise DimensionError(f"edge {min(missing)} is not a non-open edge")
+        return BitVector.from_support(len(self.interior_edges), [index[e] for e in edges])
 
     def chain_edges(self, z: BitVector) -> tuple[int, ...]:
-        """Surface edge indices in the support of a chain vector."""
-        return tuple(self.interior_edges[i] for i in z.support)
+        """Surface edge indices in the support of a chain vector.
 
-    def _vertex_ends(self) -> Iterator[tuple[int, int]]:
-        """The two end rows of each qubit in qubit order, by row of d1; an
-        open end is ``len(interior_vertices)``, the terminal that stands for
-        every open vertex."""
-        row, terminal = self.vertex_row, len(self.interior_vertices)
-        edges = self.surface.edges
-        for ei in self.interior_edges:
-            e = edges[ei]
-            yield row.get(e.u, terminal), row.get(e.v, terminal)
+        Raises:
+            OutOfDomainError: if ``z`` is not a BitVector.
+            DimensionError: if its length is not the number of qubits.
+        """
+        if _instance(z, BitVector).length != len(self.interior_edges):
+            raise DimensionError(
+                f"chain of length {z.length} on {len(self.interior_edges)} qubits"
+            )
+        return tuple(self.interior_edges[i] for i in z.support)
 
     @cached_property
     def _d1_graph(self) -> list[list[tuple[int, int]]]:
         """The qubits as edges between their non-open end vertices (by row
         of d1); the terminal stands for every open vertex."""
-        return _graph(len(self.interior_vertices) + 1, self._vertex_ends())
+        return _graph(len(self.interior_vertices) + 1, self._ends)
 
     def _dual_ends(self) -> Iterator[tuple[int, int]]:
         """The two dual ends of each qubit in qubit order: its two faces,
@@ -165,7 +205,7 @@ class ChainComplex:
             if len(faces) == 1
         )
         return (
-            _kappa(len(self.interior_vertices), self._vertex_ends(), ()),
+            _kappa(len(self.interior_vertices), self._ends, ()),
             _kappa(s.vertex_count, ((e.u, e.v) for e in s.edges), closed),
         )
 
@@ -195,13 +235,13 @@ class ChainComplex:
 
 
 def _build_unchecked(s: Surface) -> ChainComplex:
-    """d1, d2^T and each qubit's faces in one pass over the cells.  Each
-    vertex gets its row of d1, each open vertex the spare row
-    ``len(interior_vertices)``; each edge gets its qubit position, each open
-    edge the spare position ``n``.  The spare row and position are dropped.
+    """The record in one pass over the cells: each qubit's end rows and
+    faces.  Each vertex gets its row of d1, each open vertex the terminal
+    row ``len(interior_vertices)``; each edge gets its qubit position, each
+    open edge the spare position ``n``, whose faces are dropped.
 
     d1 @ d2 == 0 is checked face by face: the end rows of a face's edges
-    must pair up.  An open edge has both ends at the spare row, so only a
+    must pair up.  An open edge has both ends at the terminal, so only a
     vertex the face leaves with odd degree fails."""
     edges = s.edges
     opened = [False] * s.vertex_count
@@ -210,37 +250,30 @@ def _build_unchecked(s: Surface) -> ChainComplex:
             opened[e.u] = opened[e.v] = True
     interior_vertices = tuple(v for v, o in enumerate(opened) if not o)
     interior_edges = tuple(ei for ei, e in enumerate(edges) if not e.open)
-    spare_row, n = len(interior_vertices), len(interior_edges)
-    row = [spare_row] * s.vertex_count
+    terminal, n = len(interior_vertices), len(interior_edges)
+    row = [terminal] * s.vertex_count
     for r, v in enumerate(interior_vertices):
         row[v] = r
     pos = [n] * len(edges)
-    d1_rows = [0] * (spare_row + 1)
+    qubit_ends = []
     for p, ei in enumerate(interior_edges):
         pos[ei] = p
         e = edges[ei]
-        d1_rows[row[e.u]] |= 1 << p
-        d1_rows[row[e.v]] |= 1 << p
+        qubit_ends.append((row[e.u], row[e.v]))
     qubit_faces: list[list[int]] = [[] for _ in range(n + 1)]
-    d2t_rows = []
-    qubits = (1 << n) - 1
     for fi, face in enumerate(s.faces):
-        bits = 0
         ends = []
         for ei in face:
-            p = pos[ei]
-            qubit_faces[p].append(fi)
-            bits |= 1 << p
+            qubit_faces[pos[ei]].append(fi)
             e = edges[ei]
             ends += row[e.u], row[e.v]
         ends.sort()
         if ends[::2] != ends[1::2]:
             raise ModelingError("d1 @ d2 != 0: boundary maps do not compose to zero")
-        d2t_rows.append(bits & qubits)
-    d1 = BinaryMatrix(spare_row, n, tuple(d1_rows[:-1]))
-    d2t = BinaryMatrix(len(s.faces), n, tuple(d2t_rows))
-    faces = tuple(qubit_faces[:n])
-    return ChainComplex(d1, interior_vertices, interior_edges, len(s.faces), s, d2t, faces)
+    faces = tuple(map(tuple, qubit_faces[:n]))
+    return ChainComplex(
+        interior_vertices, interior_edges, len(s.faces), s, tuple(qubit_ends), faces
+    )
 
 
 def boundary_maps(s: Surface) -> ChainComplex:

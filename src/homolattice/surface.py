@@ -97,19 +97,24 @@ class Surface:
 
     @classmethod
     def build(cls, vertex_count, edges, faces, coords=None) -> Surface:
-        """Construct from loose data: edges as ``Edge`` or ``(u, v[, open])``."""
+        """Construct from loose data: edges as ``Edge`` or ``(u, v[, open])``.
+
+        Only the shape changes: each edge tuple becomes an ``Edge`` and each
+        cell list a tuple.  The values pass through unconverted, so the
+        field rules of :func:`validate` see them as given.
+        """
         norm_edges = []
         for e in edges:
             if isinstance(e, Edge):
                 norm_edges.append(e)
             else:
                 u, v, *rest = e
-                norm_edges.append(Edge(int(u), int(v), bool(rest[0]) if rest else False))
-        norm_faces = tuple(tuple(int(i) for i in f) for f in faces)
+                norm_edges.append(Edge(u, v, rest[0] if rest else False))
+        norm_faces = tuple(map(tuple, faces))
         norm_coords = None
         if coords is not None:
             norm_coords = tuple((c[0], c[1]) for c in coords)
-        return cls(int(vertex_count), tuple(norm_edges), norm_faces, norm_coords)
+        return cls(vertex_count, tuple(norm_edges), norm_faces, norm_coords)
 
     @property
     def edge_count(self) -> int:

@@ -127,3 +127,39 @@ def test_compare_table_refuses_a_bad_spec_before_evaluating_any(monkeypatch):
     with pytest.raises(hl.OutOfDomainError, match="expected ArchSpec, got NoneType"):
         hl.compare_table([hl.ArchSpec("torus", L=3), None])
     assert evaluated == []
+
+
+# Public methods: each call, on a 3-vector, a 2x3 matrix or the sq111
+# complex, and the error it must raise.
+_V = hl.BitVector(3, 1)
+_M = hl.BinaryMatrix.zeros(2, 3)
+_CX = hl.boundary_maps(dict(STRICT_CORPUS)["sq111"])
+METHOD_CALLS = {
+    "from_support-str": (lambda: hl.BitVector.from_support(3, ["a"]), hl.OutOfDomainError),
+    "from_support-float": (lambda: hl.BitVector.from_support(3, [1.0]), hl.OutOfDomainError),
+    "from_support-none": (lambda: hl.BitVector.from_support(3, None), hl.OutOfDomainError),
+    "from_support-bool": (lambda: hl.BitVector.from_support(3, [True]), hl.OutOfDomainError),
+    "vector-get-str": (lambda: _V.get("a"), hl.OutOfDomainError),
+    "dot-int": (lambda: _V.dot(3), hl.OutOfDomainError),
+    "xor-int": (lambda: _V ^ 3, hl.OutOfDomainError),
+    "zeros-str": (lambda: hl.BinaryMatrix.zeros("a", 2), hl.OutOfDomainError),
+    "from_rows-none": (lambda: hl.BinaryMatrix.from_rows(None, 3), hl.OutOfDomainError),
+    "matrix-get-str": (lambda: _M.get("a", 0), hl.OutOfDomainError),
+    "row-str": (lambda: _M.row("a"), hl.OutOfDomainError),
+    "column-str": (lambda: _M.column("a"), hl.OutOfDomainError),
+    "row-past-the-end": (lambda: _M.row(5), hl.DimensionError),
+    "row-negative": (lambda: _M.row(-1), hl.DimensionError),
+    "matvec-int": (lambda: _M.matvec(3), hl.OutOfDomainError),
+    "matmul-int": (lambda: _M.matmul(3), hl.OutOfDomainError),
+    "edge_chain-no-such-edge": (lambda: _CX.edge_chain([10**6]), hl.DimensionError),
+    "chain_edges-int": (lambda: _CX.chain_edges(3), hl.OutOfDomainError),
+}
+
+
+@pytest.mark.parametrize("call", sorted(METHOD_CALLS))
+def test_a_public_method_keeps_the_error_contract(call):
+    # Each of these raised TypeError, AttributeError, IndexError or KeyError,
+    # or (bool support, negative row) silently misread its argument.
+    method, error = METHOD_CALLS[call]
+    with pytest.raises(error):
+        method()

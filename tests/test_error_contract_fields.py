@@ -22,6 +22,16 @@ TRIANGLE = Surface(
 )
 _E = TRIANGLE.edges
 
+
+def _built(vertex_count, edges) -> dict:
+    """Every field of ``Surface.build`` on loose triangle data, which must
+    reach the field rules unconverted."""
+    s = Surface.build(vertex_count, edges, [(0, 1, 2)], TRIANGLE.coords)
+    return {f.name: getattr(s, f.name) for f in dataclasses.fields(s)}
+
+
+_LOOSE = [(0, 1, "no"), (1, 2), (0.9, 2)]
+
 # Each probe: the triangle's fields it replaces, and the field the error names.
 PROBES = {
     "vertex-count-str": ({"vertex_count": "3"}, "vertex_count"),
@@ -41,6 +51,9 @@ PROBES = {
     "coord-nan": ({"coords": ((float("nan"), 0.0),) + TRIANGLE.coords[1:]}, "coords[0]"),
     "coord-neg-inf": ({"coords": ((float("-inf"), 0.0),) + TRIANGLE.coords[1:]}, "coords[0]"),
     "coord-int-beyond-float": ({"coords": ((10**400, 0.0),) + TRIANGLE.coords[1:]}, "coords[0]"),
+    # Surface.build once read these as a 3-vertex triangle with edge 0 open.
+    "build-vertex-count-float": (_built(3.7, _LOOSE), "vertex_count"),
+    "build-open-str": (_built(3, _LOOSE), "edges[0].open"),
 }
 
 

@@ -114,6 +114,10 @@ def test_one_pass_complex_matches_the_definitions(name, s):
     cx = boundary_maps(s)
     cls = classify_boundary(s)
     assert cx._d2t == cx.d2.transpose()
+    assert cx._ends == tuple(
+        tuple(cx.vertex_row.get(w, len(cx.interior_vertices)) for w in s.edges[ei].endpoints())
+        for ei in cx.interior_edges
+    )
     assert cx.interior_vertices == tuple(sorted(cls.interior_vertices))
     assert cx.interior_edges == tuple(sorted(cls.interior_edges))
     # Each qubit's dual ends are its faces, lower first, or for a closed
@@ -285,15 +289,20 @@ def test_boundary_maps_requires_valid_surface():
 
 
 def test_the_analysis_path_never_builds_d2():
-    # d2 is built from the qubits' faces only when read: counting, both
-    # distances, both bases, their verification and the dual read d1, d2^T
-    # and the recorded faces.
+    # The complex is built as its record, each qubit's ends and faces, and
+    # every map is read off it only when needed: the dual reads the record
+    # alone; counting, both distances, both bases and their verification
+    # read d1 and d2^T, never d2.
     cx = boundary_maps(dict(STRICT_CORPUS)["sq111"])
+    maps = {"d1", "_d2t", "d2"}
+    assert not maps & vars(cx).keys()
+    dualize(cx)
+    assert not maps & vars(cx).keys()
     assert logical_count(cx) == 1
+    assert maps & vars(cx).keys() == {"d1", "_d2t"}
     assert distance_z(cx).d == distance_x(cx).d == 4
     for method in (logical_basis_generic, logical_basis_boundary_strategy):
         verify_logical_basis(cx, method(cx))
-    dualize(cx)
     assert "d2" not in vars(cx)
     assert h1_dim_oracle(cx) == 1
     assert "d2" in vars(cx)
