@@ -11,8 +11,11 @@ Three qubit-per-hole architectures share the comparison interface:
   each rim declared open (alternating orientation on a checkerboard),
   3*h*h2 - 1 qubits total, target distance 2t.
 
-All generators emit canonicalized, strictly valid surfaces with drawing
-coordinates.  Closed forms are always reported alongside computed values with
+All generators emit strictly valid surfaces with drawing coordinates that
+are their own canonical form (see :func:`homolattice.surface.canonicalize`):
+the lattice builders emit their cells in canonical order, punching holes keeps
+that order, and the build path checks it in one linear pass after the strict
+validation.  Closed forms are always reported alongside computed values with
 match flags rather than being trusted.
 """
 
@@ -35,7 +38,7 @@ from .errors import (
     _int,
 )
 from .homology import boundary_maps
-from .surface import STRICT_ALL, Edge, Surface, _canonical, require_valid
+from .surface import STRICT_ALL, Edge, Surface, require_valid
 
 __all__ = [
     "FAMILIES",
@@ -140,12 +143,32 @@ class ArchSpec:
 # Square lattices.
 
 
+def _quad(a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]:
+    """The canonical traversal of the face whose edges a, b, c, d run round
+    it in that order: from its lowest edge toward the lower of that edge's two
+    neighbours, which are the other opposite pair."""
+    if a > c:
+        a, c = c, a
+    if b > d:
+        b, d = d, b
+    return (a, b, c, d) if a < b else (b, a, d, c)
+
+
 def _square_cells(L: int, L2: int, wrap: bool = False):
     """Edge list, face-grid edge quadruples, and vertex coordinates of the
     square lattice of L rows by L2 columns of faces.  Without ``wrap`` it is
     the plain patch on (L+1) x (L2+1) vertices; with it, vertex indices wrap
     modulo the L x L2 grid, so the last row and column of faces close up
-    onto the first (the torus)."""
+    onto the first (the torus, which needs L = L2 >= 3).
+
+    The cells come in canonical order.  Vertices are numbered row by row,
+    and each vertex lists its edges to higher-numbered vertices nearest first:
+    right, the torus's seam edge back from the last column, down, the torus's
+    seam edge back from the last row.  So every edge is (u, v) with u < v,
+    in ascending order.  Face (i, j) is its top, left, bottom and right edge
+    on the plain patch, each face in canonical traversal by :func:`_quad`.
+    Faces come row by row; on the torus the seam faces start at seam edges,
+    so its faces are sorted."""
     rows, cols = (L, L2) if wrap else (L + 1, L2 + 1)
 
     def vid(i: int, j: int) -> int:
@@ -153,24 +176,34 @@ def _square_cells(L: int, L2: int, wrap: bool = False):
 
     edges: list[tuple[int, int]] = []
     eidx: dict[tuple[int, int, str], int] = {}
+
+    def add(key: tuple[int, int, str], u: int, v: int) -> None:
+        eidx[key] = len(edges)
+        edges.append((u, v))
+
     for i in range(rows):
         for j in range(cols):
-            if j < L2:
-                eidx[(i, j, "h")] = len(edges)
-                edges.append((vid(i, j), vid(i, j + 1)))
-            if i < L:
-                eidx[(i, j, "v")] = len(edges)
-                edges.append((vid(i, j), vid(i + 1, j)))
+            u = vid(i, j)
+            if j + 1 < cols:
+                add((i, j, "h"), u, u + 1)
+            if wrap and j == 0:
+                add((i, cols - 1, "h"), u, u + cols - 1)
+            if i + 1 < rows:
+                add((i, j, "v"), u, u + cols)
+            if wrap and i == 0:
+                add((rows - 1, j, "v"), u, vid(rows - 1, j))
     faces = {
-        (i, j): (
+        (i, j): _quad(
             eidx[(i, j, "h")],
-            eidx[(i, j, "v")],
             eidx[(i, (j + 1) % cols, "v")],
             eidx[((i + 1) % rows, j, "h")],
+            eidx[(i, j, "v")],
         )
         for i in range(L)
         for j in range(L2)
     }
+    if wrap:
+        faces = dict(sorted(faces.items(), key=lambda item: item[1]))
     coords = [(float(j), float(i)) for i in range(rows) for j in range(cols)]
     return edges, faces, coords
 
@@ -197,6 +230,16 @@ def gen_torus(L: int) -> Surface:
 
 
 def _rotated_cells(L: int, L2: int):
+    """Vertex ids by grid point, edge list, edge quadruples by face center,
+    and vertex coordinates of the rotated lattice of L x L2 diamonds.
+
+    The cells come in canonical order.  Vertices are numbered row by row,
+    and each vertex lists its two edges to the next row, down-left then
+    down-right; so every edge is (u, v) with u < v, in ascending order.
+    Face (ci, cj) is its top-left, top-right, right-bottom and left-bottom
+    edge: the top-left edge is the lowest and the top-right the lower of its
+    two neighbours, so that is the canonical traversal.  Faces come row by
+    row, and so in ascending order of their top-left edges."""
     vid: dict[tuple[int, int], int] = {}
     coords: list[tuple[float, float]] = []
     for i in range(2 * L + 1):
@@ -205,23 +248,24 @@ def _rotated_cells(L: int, L2: int):
                 vid[(i, j)] = len(coords)
                 coords.append((float(j), float(i)))
     edges: list[tuple[int, int]] = []
-    epos: dict[tuple[int, int], int] = {}
-    faces: dict[tuple[int, int], tuple[int, ...]] = {}
-    for ci in range(1, 2 * L):
-        for cj in range(1, 2 * L2):
-            if (ci + cj) % 2 != 0:
-                continue
-            corners = [(ci + 1, cj), (ci, cj + 1), (ci - 1, cj), (ci, cj - 1)]
-            face_edges = []
-            for idx in range(4):
-                a = vid[corners[idx]]
-                b = vid[corners[(idx + 1) % 4]]
-                key = (min(a, b), max(a, b))
-                if key not in epos:
-                    epos[key] = len(edges)
-                    edges.append(key)
-                face_edges.append(epos[key])
-            faces[(ci, cj)] = tuple(face_edges)
+    down: dict[tuple[int, int, int], int] = {}  # (i, j, dj): edge to (i+1, j+dj)
+    for (i, j), u in vid.items():
+        for dj in (-1, 1):
+            w = vid.get((i + 1, j + dj))
+            if w is not None:
+                down[(i, j, dj)] = len(edges)
+                edges.append((u, w))
+    faces = {
+        (ci, cj): (
+            down[(ci - 1, cj, -1)],
+            down[(ci - 1, cj, 1)],
+            down[(ci, cj + 1, -1)],
+            down[(ci, cj - 1, 1)],
+        )
+        for ci in range(1, 2 * L)
+        for cj in range(1, 2 * L2)
+        if (ci + cj) % 2 == 0
+    }
     return vid, edges, faces, coords
 
 
@@ -246,10 +290,22 @@ def _punch(
 ) -> Surface:
     """Remove the ``dropped`` faces, then edges left faceless, then vertices
     left edgeless; reindex densely, mark ``open_edges`` (old indices), and
-    return the canonicalized, strictly valid surface.  With nothing dropped
-    every edge and vertex of the generators' lattices is kept, so the
-    numbering is unchanged and no remap is built (a lattice that left a
-    cell unused would fail the validation below)."""
+    return the strictly valid surface.  With nothing dropped every edge and
+    vertex of the generators' lattices is kept, so the numbering is unchanged
+    and no remap is built (a lattice that left a cell unused would fail the
+    validation below).
+
+    The lattices come in canonical order (see :func:`_square_cells` and
+    :func:`_rotated_cells`), and the remap keeps the order of the cells it
+    keeps, so the surface is its own canonical form.  After the strict
+    validation one linear pass checks that: edges strictly ascending with
+    u < v; each face from its lowest edge, its second edge below its last,
+    each edge sharing a vertex with the next; faces strictly ascending.
+
+    Raises:
+        InvalidSurfaceError: if the surface is not strictly valid.
+        ModelingError: naming the first cell out of canonical order.
+    """
     if dropped:
         kept_faces = [f for key, f in faces.items() if key not in dropped]
         kept_edge_ids = sorted({ei for f in kept_faces for ei in f})
@@ -271,8 +327,26 @@ def _punch(
         )
         new_faces = tuple(faces.values())
         new_coords = tuple(coords)
-    s, _, _ = _canonical(Surface(len(new_coords), new_edges, new_faces, new_coords))
+    s = Surface(len(new_coords), new_edges, new_faces, new_coords)
     require_valid(s, STRICT_ALL)
+    ends = [(e.u, e.v) for e in new_edges]
+    prev: tuple[int, ...] = (-1, -1)
+    for ei, uv in enumerate(ends):
+        if not (uv[0] < uv[1] and prev < uv):
+            raise ModelingError(f"edge {ei} {uv} is out of canonical order")
+        prev = uv
+    prev = ()
+    for fi, face in enumerate(new_faces):
+        if face[0] != min(face) or not face[1] < face[-1]:
+            raise ModelingError(f"face {fi} {face} does not start canonically")
+        if not prev < face:
+            raise ModelingError(f"face {fi} {face} is out of canonical order")
+        u, v = ends[face[0]]
+        for ei in face[1:]:
+            if u not in ends[ei] and v not in ends[ei]:
+                raise ModelingError(f"face {fi} {face} is not in traversal order")
+            u, v = ends[ei]
+        prev = face
     return s
 
 

@@ -16,6 +16,7 @@ from homolattice import (
     Edge,
     STRICT_ALL,
     Surface,
+    canonicalize,
     generate,
     validate,
 )
@@ -118,7 +119,18 @@ def klein_bottle(
         for j in range(L)
     }
     coords = [(float(j), float(i)) for i in range(L) for j in range(L)]
-    return _punch(edges, faces, coords, set(dropped), {e(a, b) for a, b in opened})
+    # The build path takes cells in canonical order, as the generators emit
+    # them; canonicalize puts the lattice's there, and its maps carry the
+    # face names and the opened edges along.
+    canon, edge_map, face_map = canonicalize(Surface.build(L * L, edges, list(faces.values())))
+    name = {face_map[fi]: key for fi, key in enumerate(faces)}
+    return _punch(
+        [(edge.u, edge.v) for edge in canon.edges],
+        {name[fi]: face for fi, face in enumerate(canon.faces)},
+        coords,
+        set(dropped),
+        {edge_map[e(a, b)] for a, b in opened},
+    )
 
 
 def _block(i0: int, i1: int, j0: int, j1: int) -> tuple[tuple[int, int], ...]:

@@ -15,6 +15,7 @@ from homolattice import (
     ArchReport,
     ArchSpec,
     InvalidSurfaceError,
+    ModelingError,
     OutOfDomainError,
     OverheadError,
     boundary_maps,
@@ -40,6 +41,9 @@ from homolattice import (
 from homolattice.arch import (
     _CSV_COLUMNS,
     FAMILIES,
+    _punch,
+    _rotated_cells,
+    _square_cells,
     diamond_hole_lattice_size,
     mixed_diamond_lattice_size,
     mixed_diamond_margin,
@@ -395,6 +399,99 @@ def test_generators_emit_canonical_strict_surfaces(spec):
     again, _, _ = canonicalize(s)
     assert to_json(again) == to_json(s)
     assert validate(s).ok
+
+
+_OWN_CANONICAL_FORM = [
+    *(ArchSpec("torus", L=L) for L in range(3, 8)),
+    ArchSpec("plain-square", L=2, L2=5),
+    ArchSpec("plain-square", L=4, L2=1),
+    ArchSpec("rotated-square", L=2, L2=4),
+    ArchSpec("rotated-square", L=5, L2=3),
+    *(
+        ArchSpec(family, h=h, h2=h2, t=t)
+        for family in ("square-hole", "diamond-hole", "mixed-diamond-hole")
+        for t in (1, 2, 3)
+        for h, h2 in ((1, 2), (2, 1))
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    _OWN_CANONICAL_FORM,
+    ids=[
+        "-".join([spec.family, *(str(v) for v in astuple(spec)[1:] if v is not None)])
+        for spec in _OWN_CANONICAL_FORM
+    ],
+)
+def test_generators_output_is_its_own_canonical_form(spec):
+    # The builders emit canonical cells and the build path keeps their order,
+    # so canonicalizing a generated surface moves no cell.
+    s = generate(spec)
+    assert canonicalize(s) == (s, list(range(s.edge_count)), list(range(s.face_count)))
+
+
+def _lattice(kind):
+    """A builder's (edges, faces, coords) as lists and a dict."""
+    if kind == "rotated":
+        _, edges, faces, coords = _rotated_cells(3, 2)
+    else:
+        edges, faces, coords = _square_cells(3, 3, wrap=kind == "torus")
+    return list(edges), dict(faces), coords
+
+
+def _swap_edges(edges, faces):
+    # The same surface with edges 2 and 5 trading places in the list.
+    edges[2], edges[5] = edges[5], edges[2]
+    trade = {2: 5, 5: 2}
+    for key, face in faces.items():
+        faces[key] = tuple(trade.get(ei, ei) for ei in face)
+
+
+def _swap_faces(edges, faces):
+    items = list(faces.items())
+    items[1], items[2] = items[2], items[1]
+    faces.clear()
+    faces.update(items)
+
+
+def _retouch_face(edit):
+    def tamper(edges, faces):
+        key = list(faces)[3]
+        faces[key] = edit(faces[key])
+
+    return tamper
+
+
+_TAMPERINGS = {
+    "face-rotated-by-one": _retouch_face(lambda f: f[1:] + f[:1]),
+    "face-reversed": _retouch_face(lambda f: f[::-1]),
+    "face-turned-the-other-way": _retouch_face(lambda f: f[:1] + f[:0:-1]),
+    "face-skips-an-edge": _retouch_face(lambda f: (f[0], f[1], f[3], f[2])),
+    "edges-swapped": _swap_edges,
+    "edge-stored-high-end-first": lambda edges, faces: edges.__setitem__(4, edges[4][::-1]),
+    "faces-out-of-order": _swap_faces,
+}
+
+
+@pytest.mark.parametrize("kind", ["square", "torus", "rotated"])
+@pytest.mark.parametrize("tamper", list(_TAMPERINGS.values()), ids=list(_TAMPERINGS))
+def test_punch_refuses_cells_out_of_canonical_order(kind, tamper):
+    edges, faces, coords = _lattice(kind)
+    _punch(edges, faces, coords)  # untampered, the cells pass
+    tamper(edges, faces)
+    with pytest.raises(ModelingError):
+        _punch(edges, faces, coords)
+
+
+def test_punch_validates_before_it_checks_the_order():
+    # A one-diamond-wide strip is invalid; turning a face round as well does
+    # not change which refusal comes first.
+    _, edges, faces, coords = _rotated_cells(1, 2)
+    key = next(iter(faces))
+    faces[key] = faces[key][::-1]
+    with pytest.raises(InvalidSurfaceError):
+        _punch(edges, faces, coords)
 
 
 # sha256 of each member's canonical JSON.  Canonical JSON is bit-stable, so
