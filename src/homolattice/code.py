@@ -31,6 +31,15 @@ distance, and its edge set is a certified witness.  The roots that find
 the distance are the ends of edges with a non-zero signature; a second pass
 skips the roots too far from those to find the witness.  The search is
 polynomial in the surface size, whatever m is.
+
+The same signatures give the generic logical basis with no elimination of
+d1 or of the dual's d1: their kernel vectors are the fundamental cycles of
+the forests the qubits grow in column order, and the k that survive the
+quotient are those whose signatures are independent; only those k are
+reduced against the face echelon.  Cycle conditions, of a witness or a
+logical, are checked by parity over each qubit's ends or faces; a valid
+basis is verified with no echelon, since a cycle and a dual cycle that
+pair to 1 are both non-trivial.
 """
 
 from __future__ import annotations
@@ -55,11 +64,10 @@ from .f2 import (
     _echelon,
     _reduce,
     in_span,
-    kernel_basis,
     rank,  # not used here, but bench/test_bench.py patches homolattice.code.rank
     symplectic_pairing,
 )
-from .homology import ChainComplex, _complex, _graph, _incidence_rows, h1_dim
+from .homology import ChainComplex, _complex, _graph, _incidence_rows, _is_cycle, h1_dim
 from .surface import STRICT_ALL, Surface, _roots, require_valid
 
 __all__ = [
@@ -196,23 +204,6 @@ def k_mixed(g: int, orientable: bool, b: int, m: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Homology quotients.
-
-
-def _quotient_basis(kernel_of: BinaryMatrix, modulo: BinaryMatrix) -> list[int]:
-    """Bitmasks over the columns: a basis of ker(``kernel_of``) modulo the
-    row space of ``modulo``, each reduced against the echelon of ``modulo``.
-
-    With ``(d1, d2^T)`` in either order this is the homology quotient one
-    way and the cohomology quotient the other; both have dim H1 elements.
-    """
-    pivots = _echelon(modulo.row_bits)
-    start = len(pivots)
-    _echelon((u.bits for u in kernel_basis(kernel_of)), pivots)
-    return list(pivots.values())[start:]
-
-
-# ---------------------------------------------------------------------------
 # Distance.  A side is a pair of maps ``(a, b)`` over the qubits: ``a``'s
 # columns are the qubits and its rows the cells whose incidence makes a
 # relative cycle (a w = 0); ``b``'s rows are the opposite stabilizers, whose
@@ -232,16 +223,14 @@ def _graphs(cx: ChainComplex, side: str) -> tuple[list, list]:
     return (a, b) if side == "primal" else (b, a)
 
 
-def _certify_witness(
-    a: BinaryMatrix, b: BinaryMatrix, witness: BitVector, d: int, side: str
-) -> None:
+def _certify_witness(cx: ChainComplex, side: str, witness: BitVector, d: int) -> None:
     if witness.weight != d:
         raise ModelingError(
             f"{side} witness weight {witness.weight} does not match distance {d}"
         )
-    if a.matvec(witness):
+    if not _is_cycle(cx, witness, side == "dual"):
         raise ModelingError(f"{side} witness is not a relative cycle")
-    if in_span(b, witness):
+    if in_span(_sides(cx, side)[1], witness):
         raise ModelingError(f"{side} witness is homologically trivial")
 
 
@@ -308,6 +297,20 @@ def _signatures(
                     sig ^= sigs[pos]
             sigs[up] = sig
     return sigs, m
+
+
+def _checked_signatures(
+    adj_a: list[list[tuple[int, int]]],
+    adj_b: list[list[tuple[int, int]]],
+    n: int,
+    h1: int,
+) -> list[int]:
+    """:func:`_signatures`, refused unless it leaves ``h1`` = dim H1 edges,
+    the one count at which a signature decides triviality."""
+    sigs, m = _signatures(adj_a, adj_b, n)
+    if m != h1:
+        raise ModelingError(f"tree-cotree split leaves {m} edges, expected {h1}")
+    return sigs
 
 
 def _root_bfs(
@@ -431,10 +434,8 @@ def _exact_min_cycle(
     roots.  Pass 2 removes each of them in its turn without a BFS, so the
     later roots' BFS trees are those of the single pass.
     """
-    sigs, m = _signatures(adj, adj_b, n)
-    if m != h1:
-        raise ModelingError(f"tree-cotree split leaves {m} edges, expected {h1}")
-    if not m:
+    sigs = _checked_signatures(adj, adj_b, n, h1)
+    if not h1:
         raise NoLogicalsError("surface encodes no logical qubits (dim H1 = 0)")
 
     nodes = len(adj)
@@ -520,7 +521,7 @@ def _distance(s: Surface | ChainComplex, method: str, side: str) -> DistanceResu
     else:
         d, witness = _exact_min_cycle(*_graphs(cx, side), a.cols, cx.h1)
         res = DistanceResult(d=d, witness=witness, side=side, method="exact-search")
-    _certify_witness(a, b, res.witness, res.d, side)
+    _certify_witness(cx, side, res.witness, res.d)
     return res
 
 
@@ -595,6 +596,101 @@ def _dual_maps(cx: ChainComplex) -> tuple[list[int], BinaryMatrix, BinaryMatrix]
     )
 
 
+def _homology_basis(cx: ChainComplex, side: str) -> list[BitVector]:
+    """The side's representatives for the generic basis, in qubit
+    coordinates: the residues that ``_echelon`` stores when it takes
+    ``kernel_basis(a)`` in order against the echelon of ``b``, found with no
+    elimination of ``a``.  On the primal side ``(a, b)`` is ``(d1, d2^T)``;
+    on the dual side it is the canonical dual's ``(d1, d2^T)``, in the
+    dual's qubit order (:func:`_dual_maps`), and the residues are mapped
+    back to the qubits.
+
+    ``a`` is the incidence matrix of a graph whose last node, the
+    terminal, has no row, with one edge per column between its ends.  A
+    column is a pivot of a's RREF iff it is independent of the columns
+    before it, iff it joins two trees of the forest grown by taking the
+    columns in ascending order (Kruskal's, the column its weight).  The
+    kernel vector of a free column f, a one at f and at the pivot of each
+    RREF row with a one at f, is the only kernel vector on f and the pivots:
+    f's fundamental cycle in that forest.  Its residue is non-zero iff its
+    class is independent of the earlier vectors', iff its signature
+    ``psig[u] ^ psig[v] ^ sigs[f]`` is independent of theirs, which a
+    k-bit echelon decides.  Every other vector lies in the span and would
+    leave the echelon as it was, so only the kept k cycles are walked and
+    reduced, in column order.
+
+    Raises:
+        ModelingError: if the side's tree-cotree split does not leave
+            dim H1 edges.
+    """
+    n = len(cx._ends)
+    sigs = _checked_signatures(*_graphs(cx, side), n, cx.h1)
+    if side == "primal":
+        order = range(n)
+        ends, nodes = cx._ends, len(cx.interior_vertices) + 1
+        trivial = _echelon(cx._d2t.row_bits)
+    else:
+        order, _, dual_d2t = _dual_maps(cx)
+        nodes = cx.face_count + 1
+        ends = [
+            (f[0], f[1] if len(f) == 2 else cx.face_count)
+            for f in (cx._qubit_faces[q] for q in order)
+        ]
+        sigs = [sigs[q] for q in order]
+        trivial = _echelon(dual_d2t.row_bits)
+
+    # Kruskal's forest over the columns in order; the rest are free.
+    root = list(range(nodes))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        return x
+
+    forest: list[list[tuple[int, int]]] = [[] for _ in range(nodes)]
+    free = []
+    for pos, (u, v) in enumerate(ends):
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            free.append(pos)
+        else:
+            root[ru] = rv
+            forest[u].append((v, pos))
+            forest[v].append((u, pos))
+    # Each node's parent, depth and path signature in that forest.
+    visit, up = _bfs_forest(forest, [False] * n)
+    parent, depth, psig = [-1] * nodes, [0] * nodes, [0] * nodes
+    for node in visit:
+        pos = up[node]
+        if pos >= 0:
+            u, v = ends[pos]
+            p = parent[node] = u if v == node else v
+            depth[node] = depth[p] + 1
+            psig[node] = psig[p] ^ sigs[pos]
+    # The free columns whose signatures are independent, and their cycles.
+    kept: dict[int, int] = {}
+    cycles = []
+    for f in free:
+        u, v = ends[f]
+        sig = _reduce(psig[u] ^ psig[v] ^ sigs[f], kept)
+        if not sig:
+            continue
+        kept[(sig & -sig).bit_length() - 1] = sig
+        bits = 1 << f
+        while u != v:
+            if depth[u] < depth[v]:
+                u, v = v, u
+            bits ^= 1 << up[u]
+            u = parent[u]
+        cycles.append(bits)
+    start = len(trivial)
+    _echelon(cycles, trivial)
+    return [
+        BitVector.from_support(n, [order[j] for j in BitVector(n, bits).support])
+        for bits in list(trivial.values())[start:]
+    ]
+
+
 def logical_basis_generic(s: Surface | ChainComplex) -> LogicalBasis:
     """Symplectic basis from algebraic homology representatives.
 
@@ -603,9 +699,16 @@ def logical_basis_generic(s: Surface | ChainComplex) -> LogicalBasis:
     bijection; :func:`symplectic_pairing` then normalizes the pairing to the
     identity.  k always equals dim H1.
 
-    The X quotient is reduced in the canonical dual's own qubit order, on
-    the dual's d1 and d2^T, which are this complex's d2^T and d1 permuted
-    (see :func:`_dual_maps`); no dual surface is built.
+    No kernel is eliminated: d1 and the dual's d1 are graph incidence
+    matrices, so each side walks the forest its columns grow in order, and
+    the tree-cotree signatures of the distance search pick out the k
+    fundamental cycles that survive the quotient; only those are reduced
+    against the face echelon (:func:`_homology_basis`).  The basis is the
+    one the RREF kernel basis gives, bit for bit.
+
+    The X quotient is taken in the canonical dual's own qubit order, on the
+    dual's d1 and d2^T, which are this complex's d2^T and d1 permuted (see
+    :func:`_dual_maps`); no dual surface is built.
 
     Raises:
         InvalidSurfaceError: if ``s`` is not strictly valid.
@@ -613,13 +716,8 @@ def logical_basis_generic(s: Surface | ChainComplex) -> LogicalBasis:
     cx = _complex(s)
     require_valid(cx.surface, STRICT_ALL)
     k = h1_dim(cx)
-    n = len(cx.interior_edges)
-    order, dual_d1, dual_d2t = _dual_maps(cx)
-    z_ops = [BitVector(n, z) for z in _quotient_basis(cx.d1, cx._d2t)]
-    x_ops = [
-        BitVector.from_support(n, [order[j] for j in BitVector(n, x).support])
-        for x in _quotient_basis(dual_d1, dual_d2t)
-    ]
+    z_ops = _homology_basis(cx, "primal")
+    x_ops = _homology_basis(cx, "dual")
     return _paired(z_ops, x_ops, k, "generic basis")
 
 
@@ -763,12 +861,22 @@ def logical_basis_boundary_strategy(s: Surface | ChainComplex) -> LogicalBasis:
 def verify_logical_basis(s: Surface | ChainComplex, basis: LogicalBasis) -> None:
     """Certify a LogicalBasis: counts, pairing, stabilizer commutation, and
     per-side homological non-triviality.  Raises ModelingError on any failure,
-    and OutOfDomainError unless ``basis`` is a LogicalBasis whose pairs are a
-    tuple of ``(BitVector, BitVector)`` tuples.
+    OutOfDomainError unless ``basis`` is a LogicalBasis whose pairs are a
+    tuple of ``(BitVector, BitVector)`` tuples, and DimensionError if a
+    logical's length is not the number of qubits.
 
     Commutation is the cycle condition: a Z logical commutes with the X
     stabilizers (rows of d1) iff d1 z = 0, and an X logical with the Z
     stabilizers (rows of d2^T) iff d2^T x = 0, the dual's cycle condition.
+    Both are checked by parity over the support, each qubit's ends or
+    faces read off the complex's record; no matrix is applied.
+
+    Non-triviality needs no elimination when the pairing holds: a sum of
+    face boundaries pairs to 0 with every dual cycle, and a sum of vertex
+    stars with every cycle, so a cycle z_i and a dual cycle x_i with
+    <x_i, z_i> = 1 are both non-trivial.  Only for a pair where that fails
+    are the two echelons built, so that the first failed check, in the
+    order listed above per pair, names the error.
     """
     cx = _complex(s)
     k = h1_dim(cx)
@@ -779,18 +887,22 @@ def verify_logical_basis(s: Surface | ChainComplex, basis: LogicalBasis) -> None
             _instance(v, BitVector)
     if basis.k != k:
         raise ModelingError(f"basis has {basis.k} pairs, dim H1 = {k}")
-    d2t = cx._d2t
-    trivial = _echelon(d2t.row_bits)
-    dual_trivial = _echelon(cx.d1.row_bits)
+    n = len(cx.interior_edges)
     for i, (x, z) in enumerate(basis.pairs):
-        if cx.d1.matvec(z):
-            raise ModelingError(f"z logical {i} is not a relative cycle")
-        if _reduce(z.bits, trivial) == 0:
-            raise ModelingError(f"z logical {i} is homologically trivial")
-        if d2t.matvec(x):
-            raise ModelingError(f"x logical {i} is not a relative cycle of the dual")
-        if _reduce(x.bits, dual_trivial) == 0:
-            raise ModelingError(f"x logical {i} is homologically trivial on the dual")
+        if not (
+            x.length == z.length == n
+            and _is_cycle(cx, z)
+            and _is_cycle(cx, x, dual=True)
+            and x.dot(z)
+        ):
+            if not _is_cycle(cx, z):
+                raise ModelingError(f"z logical {i} is not a relative cycle")
+            if _reduce(z.bits, _echelon(cx._d2t.row_bits)) == 0:
+                raise ModelingError(f"z logical {i} is homologically trivial")
+            if not _is_cycle(cx, x, dual=True):
+                raise ModelingError(f"x logical {i} is not a relative cycle of the dual")
+            if _reduce(x.bits, _echelon(cx.d1.row_bits)) == 0:
+                raise ModelingError(f"x logical {i} is homologically trivial on the dual")
         for j, (_, z2) in enumerate(basis.pairs):
             if x.dot(z2) != (1 if i == j else 0):
                 raise ModelingError(

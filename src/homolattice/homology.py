@@ -33,7 +33,8 @@ reads.  The record also holds the dual: its X side (d2^T, d1) is the
 dual's (d1, d2^T) up to cell order, and ``_dual_ends`` numbers the dual's
 vertices, so the dual surface itself is read off the complex by
 :func:`homolattice.dual.dualize`, and the dual's maps by the same row
-builder.
+builder.  The cycle conditions d1 z = 0 and d2^T x = 0 need no map at all:
+``_is_cycle`` reads them off the record by parity over the support.
 """
 
 from __future__ import annotations
@@ -316,9 +317,32 @@ def h1_dim(s: Surface | ChainComplex) -> int:
     return _complex(s).h1
 
 
+def _is_cycle(cx: ChainComplex, v: BitVector, dual: bool = False) -> bool:
+    """True iff d1 v = 0, or d2^T v = 0 with ``dual``, read off the record
+    by parity over v's support, with no matrix: every non-open vertex is an
+    end of an even number of v's qubits (the terminal is skipped), or every
+    face holds an even number of them.  The length is checked first, so a
+    wrong one is never read against the record.
+
+    Raises:
+        OutOfDomainError: if ``v`` is not a BitVector.
+        DimensionError: if its length is not the number of qubits.
+    """
+    n = len(cx._ends)
+    if _instance(v, BitVector).length != n:
+        raise DimensionError(f"vector of length {v.length} on {n} qubits")
+    cells, skip = (cx._qubit_faces, -1) if dual else (cx._ends, len(cx.interior_vertices))
+    hits = sorted(r for q in v.support for r in cells[q] if r != skip)
+    return hits[::2] == hits[1::2]
+
+
 def is_relative_cycle(s: Surface | ChainComplex, z: BitVector) -> bool:
-    """True iff ``z`` (a vector over the non-open edges) satisfies d1 z = 0."""
-    return not _complex(s).d1.matvec(_instance(z, BitVector))
+    """True iff ``z`` (a vector over the non-open edges) satisfies d1 z = 0.
+
+    Raises:
+        DimensionError: if ``z``'s length is not the number of qubits.
+    """
+    return _is_cycle(_complex(s), z)
 
 
 def is_trivial_cycle(s: Surface | ChainComplex, z: BitVector) -> bool:
@@ -326,8 +350,9 @@ def is_trivial_cycle(s: Surface | ChainComplex, z: BitVector) -> bool:
 
     Raises:
         OutOfDomainError: if ``z`` is not a relative cycle.
+        DimensionError: if ``z``'s length is not the number of qubits.
     """
     cx = _complex(s)
-    if cx.d1.matvec(_instance(z, BitVector)):
+    if not _is_cycle(cx, z):
         raise OutOfDomainError("z is not a relative cycle (d1 z != 0)")
     return in_span(cx._d2t, z)

@@ -59,7 +59,9 @@ from homolattice import (
     validate,
     verify_logical_basis,
 )
-from homolattice.code import _dual_maps, _graphs, _sides, _signatures
+import homolattice.code
+from homolattice.code import _dual_maps, _graphs, _homology_basis, _sides, _signatures
+from homolattice.f2 import _echelon
 from homolattice.homology import _build_unchecked
 
 # ---------------------------------------------------------------------------
@@ -696,6 +698,45 @@ def test_logical_bases_and_refusals_are_pinned():
     assert digest == "00cb666f605a0c259ba3e833f43ab28796210534f02ca93fc5e3bc57768b6c58"
 
 
+def _kernel_quotient_basis(kernel_of: BinaryMatrix, modulo: BinaryMatrix) -> list[int]:
+    """The generic basis's quotient as it was computed before the forest
+    walk: the RREF kernel basis of ``kernel_of``, in order, added to the
+    echelon of ``modulo``; the residues it stores."""
+    pivots = _echelon(modulo.row_bits)
+    start = len(pivots)
+    _echelon((u.bits for u in kernel_basis(kernel_of)), pivots)
+    return list(pivots.values())[start:]
+
+
+def test_forest_basis_matches_the_kernel_elimination():
+    # Both sides bit for bit against the elimination they replace: the
+    # strict corpus, Klein bottles with and without holes, relabeled
+    # basis-roundtrip members and seeded random surfaces.
+    rng = random.Random(20261022)
+    members = [s for _, s in STRICT_CORPUS]
+    members += [klein_bottle(L) for L in range(3, 7)]
+    members += [klein_bottle(L, *cells) for _, L, *cells in KLEIN_HOLES]
+    for m in ROUNDTRIP:
+        s = generate(ArchSpec(m[0], h=m[1], h2=m[2], t=m[3]))
+        members += [s, _relabel(s, rng), _relabel(s, rng, 32)]
+    members += [random_surface(rng) for _ in range(120)]
+    with_logicals = 0
+    for s in members:
+        cx = boundary_maps(s)
+        n = len(cx.interior_edges)
+        z_want = [BitVector(n, z) for z in _kernel_quotient_basis(cx.d1, cx._d2t)]
+        assert _homology_basis(cx, "primal") == z_want
+        order, dual_d1, dual_d2t = _dual_maps(cx)
+        x_want = [
+            BitVector.from_support(n, [order[j] for j in BitVector(n, x).support])
+            for x in _kernel_quotient_basis(dual_d1, dual_d2t)
+        ]
+        assert _homology_basis(cx, "dual") == x_want
+        assert len(z_want) == len(x_want) == cx.h1
+        with_logicals += cx.h1 > 0
+    assert with_logicals >= 100
+
+
 def test_dual_maps_are_the_dual_surfaces_maps():
     # The generic basis reads the canonical dual's qubit order, d1 and d2^T
     # off the primal complex; dualize, which builds the dual surface, is the
@@ -789,3 +830,34 @@ def test_verify_rejects_a_pairing_that_is_not_the_identity():
     (x0, z0), (x1, z1) = logical_basis_generic(s).pairs
     message = _verify_message(s, [(x0, z1), (x1, z0)])
     assert "pairing <x_0, z_0> = 0, expected 1" in message
+
+
+def test_verify_names_a_face_boundary_as_a_trivial_z_logical():
+    # The pairing rules the face out first; the message is still the check
+    # that fails first, even when the X side is broken too.
+    s = dict(CORPUS)["sq111"]
+    (x, _), = logical_basis_generic(s).pairs
+    cx = boundary_maps(s)
+    face = cx.d2.matvec(BitVector.from_support(cx.face_count, [0]))
+    assert face
+    message = "z logical 0 is homologically trivial"
+    assert _verify_message(s, [(x, face)]) == message
+    broken = x ^ BitVector.from_support(x.length, [0])
+    assert _verify_message(s, [(broken, face)]) == message
+
+
+def test_verify_certifies_valid_bases_without_an_echelon(monkeypatch):
+    # A cycle and a dual cycle that pair to 1 are both non-trivial, so a
+    # valid basis is certified by parity and the pairing alone.
+    bases = []
+    for m in ROUNDTRIP:
+        cx = boundary_maps(generate(ArchSpec(m[0], h=m[1], h2=m[2], t=m[3])))
+        bases += [(cx, logical_basis_generic(cx)), (cx, logical_basis_boundary_strategy(cx))]
+
+    def refuse(*args):
+        raise AssertionError("verify_logical_basis built an echelon")
+
+    monkeypatch.setattr(homolattice.code, "_echelon", refuse)
+    for cx, basis in bases:
+        assert basis.k
+        verify_logical_basis(cx, basis)

@@ -156,6 +156,29 @@ METHOD_CALLS = {
 }
 
 
+# Vectors of the wrong length for the sq111 complex: one bit too long, with
+# that bit set, and far too short.  In verify_logical_basis each takes the
+# place of one side of the generic basis's pair.  The cycle checks read each
+# qubit's ends or faces by parity, so without their length check the long
+# vector would index past the record and the short one be misread.
+def _verify_with(side: str, v: hl.BitVector) -> None:
+    (x, z), = hl.logical_basis_generic(_CX).pairs
+    hl.verify_logical_basis(_CX, hl.LogicalBasis(((v, z) if side == "x" else (x, v),)))
+
+
+_N = len(_CX.interior_edges)
+for _name, _v in {
+    "one-too-long": hl.BitVector(_N + 1, 1 << _N),
+    "far-too-short": hl.BitVector(1, 1),
+}.items():
+    METHOD_CALLS |= {
+        f"verify-x-{_name}": (lambda v=_v: _verify_with("x", v), hl.DimensionError),
+        f"verify-z-{_name}": (lambda v=_v: _verify_with("z", v), hl.DimensionError),
+        f"is_relative_cycle-{_name}": (lambda v=_v: hl.is_relative_cycle(_CX, v), hl.DimensionError),
+        f"is_trivial_cycle-{_name}": (lambda v=_v: hl.is_trivial_cycle(_CX, v), hl.DimensionError),
+    }
+
+
 @pytest.mark.parametrize("call", sorted(METHOD_CALLS))
 def test_a_public_method_keeps_the_error_contract(call):
     # Each of these raised TypeError, AttributeError, IndexError or KeyError,

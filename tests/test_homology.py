@@ -272,6 +272,30 @@ def test_non_cycle_is_a_library_error():
         is_trivial_cycle(s, cx.edge_chain([ei]))
 
 
+def test_parity_cycle_check_matches_the_boundary_maps():
+    # _is_cycle reads the record by parity; d1 and d2^T, applied by matvec,
+    # are the oracle, on random vectors and on sums of stars and faces.
+    rng = random.Random(20261022)
+    surfaces = [s for _, s in CORPUS] + [random_surface(rng) for _ in range(40)]
+    outcomes = set()
+    for s in surfaces:
+        cx = boundary_maps(s)
+        n = len(cx.interior_edges)
+        for dual, a, b in ((False, cx.d1, cx._d2t), (True, cx._d2t, cx.d1)):
+            for _ in range(10):
+                bits = 0
+                for row in b.row_bits:
+                    if rng.random() < 0.5:
+                        bits ^= row
+                if n and rng.random() < 0.5:
+                    bits ^= 1 << rng.randrange(n)
+                v = BitVector(n, bits)
+                got = homolattice.homology._is_cycle(cx, v, dual)
+                assert got == (not a.matvec(v))
+                outcomes.add(got)
+    assert outcomes == {True, False}
+
+
 def test_wrong_length_rejected():
     s = square()
     with pytest.raises(DimensionError):
